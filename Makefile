@@ -14,13 +14,15 @@ test:
 	$(GO) test ./...
 
 # Fallback-tier coverage: downgrade the CPUID probe so kernel dispatch
-# resolves to the portable go tier (see internal/tensor/dispatch.go).
+# resolves to the portable go tier (see internal/tensor/dispatch.go),
+# for the kernels, both attention stacks, and the served path on top.
 test-notavx2:
-	GODEBUG=cpu.avx2=off,cpu.avx=off $(GO) test ./internal/tensor/... ./internal/core/...
+	GODEBUG=cpu.avx2=off,cpu.avx=off $(GO) test ./internal/tensor/... ./internal/core/... ./internal/memnn/... ./internal/equivtest/... ./internal/server/...
 
 # Cross-engine equivalence sweep (internal/equivtest): every inference
 # configuration — serial/parallel, batched/unbatched, kernel tiers,
-# gate off/armed-but-unfireable — must be bit-identical per tier.
+# gate off/armed-but-unfireable — must be bit-identical per tier, and
+# every engine within OracleTol of the float64 reference.
 test-equiv:
 	$(GO) test -count=1 -v -run 'TestEquivalenceSweep' ./internal/equivtest/
 

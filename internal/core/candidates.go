@@ -18,8 +18,10 @@ import (
 // stabilized Partial over its gathered rows, and the partials merge in
 // ascending item order. The result is therefore bit-identical at every
 // worker count, exactly like InferPartial, and when the candidate set
-// is every row with the same chunk size it reproduces InferPartial
-// bit-for-bit (the chunks gather the same rows in the same order).
+// is every row with the same chunk size it evaluates InferPartial's
+// chunks on the same rows — equal up to float32 reassociation, since
+// the gather keeps the 4-row Go kernels where the dense chunk runs the
+// dispatched block kernels.
 
 // candScratch is the reusable state of one Column.InferCandidates
 // call: one Partial per chunk item, per-worker logits scratch and
@@ -114,10 +116,10 @@ func (c *Column) InferCandidates(u tensor.Vector, cand []int32, part *Partial) S
 
 // processCandChunk is processChunk over gathered rows: inner products,
 // chunk-stabilized exponentials, and the weighted sum for the
-// candidate positions [0, len(cand)) of one chunk item. The loop
-// structure (4-row Dot4/Axpy4 blocking, chunk-local skip rule) matches
-// processChunk exactly, so an identity candidate list reproduces the
-// dense chunk bit-for-bit.
+// candidate positions [0, len(cand)) of one chunk item. The chunking
+// and the chunk-local skip rule match processChunk; the gathered rows
+// are not contiguous, so the loops stay on the 4-row Dot4/Axpy4
+// kernels.
 //
 //mnnfast:hotpath
 func (c *Column) processCandChunk(u tensor.Vector, cand []int32, worker int, p *Partial, logits tensor.Vector, st *Stats) {
@@ -192,7 +194,8 @@ func (c *Column) processCandChunk(u tensor.Vector, cand []int32, worker int, p *
 // the index built from M_IN selects the candidate rows, and the
 // column machinery streams only those rows through the lazy softmax.
 // With nprobe >= the index's list count it degenerates to the column
-// engine over every row (bit-identically, given the same chunk size).
+// engine over every row (up to float32 reassociation, given the same
+// chunk size).
 type TopK struct {
 	col    *Column
 	idx    *sparse.TopKIndex

@@ -18,9 +18,19 @@ func identity(n int) []int32 {
 	return cand
 }
 
+// reorderTol bounds the drift between the gathered chunk (4-row Go
+// kernels) and the dense chunk (dispatched block kernels) evaluating
+// the same rows: |a − b| <= reorderTol·(1 + |b|) per output element.
+const reorderTol = 1e-5
+
+func withinReorder(a, b float32) bool {
+	return math.Abs(float64(a)-float64(b)) <= reorderTol*(1+math.Abs(float64(b)))
+}
+
 // TestInferCandidatesFullSetMatchesInferPartial pins the degeneration
 // contract: the identity candidate list with the same chunk size is
-// the dense sweep, bit-for-bit, at every worker count and skip mode.
+// the dense sweep — same statistics, outputs within reorderTol — at
+// every worker count and skip mode.
 func TestInferCandidatesFullSetMatchesInferPartial(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, tc := range []struct {
@@ -54,9 +64,8 @@ func TestInferCandidatesFullSetMatchesInferPartial(t *testing.T) {
 				t.Errorf("stats differ: dense %+v cand %+v", stDense, stCand)
 			}
 			for i := range oDense {
-				if math.Float32bits(oDense[i]) != math.Float32bits(oCand[i]) {
-					t.Fatalf("output bits differ at %d: %x vs %x", i,
-						math.Float32bits(oDense[i]), math.Float32bits(oCand[i]))
+				if !withinReorder(oCand[i], oDense[i]) {
+					t.Fatalf("output %d: gathered %v, dense %v", i, oCand[i], oDense[i])
 				}
 			}
 			PutPartial(dense)
@@ -157,7 +166,7 @@ func TestInferCandidatesEmpty(t *testing.T) {
 }
 
 // TestTopKEngineFullProbeMatchesColumn: with every list probed the
-// top-k engine is the column engine, bit-for-bit.
+// top-k engine is the column engine, within reorderTol.
 func TestTopKEngineFullProbeMatchesColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	mem := randomMemory(t, rng, 800, 16)
@@ -179,8 +188,8 @@ func TestTopKEngineFullProbeMatchesColumn(t *testing.T) {
 			t.Errorf("row counts differ: %d vs %d", stCol.TotalRows, stTop.TotalRows)
 		}
 		for i := range a {
-			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-				t.Fatalf("query %d: outputs differ at %d", q, i)
+			if !withinReorder(b[i], a[i]) {
+				t.Fatalf("query %d: output %d: top-k %v, column %v", q, i, b[i], a[i])
 			}
 		}
 	}

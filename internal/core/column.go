@@ -33,10 +33,10 @@ import (
 // spawn-free. Per-query partials and per-worker chunk scratch come from
 // process-wide sync.Pools (scratch.go), chunk parallelism rides the
 // work-stealing scheduler over the persistent tensor.Pool workers, and
-// the dense loops use the blocked Dot4/Axpy4 kernels and the float32
-// fast-exp. The one exception is serial Streaming mode, whose
-// prefetcher is inherently a pipeline and spawns one goroutine per
-// query.
+// the dense loops use the dispatched multi-row kernels (DotRows,
+// AxpyRows) and the float32 fast-exp. The one exception is serial
+// Streaming mode, whose prefetcher is inherently a pipeline and spawns
+// one goroutine per query.
 type Column struct {
 	mem *Memory
 	opt Options
@@ -214,10 +214,12 @@ func (c *Column) prefetchChunk(lo, hi int) {
 // accumulator starts from zero. The result depends only on the chunk's
 // rows — never on which worker ran it or what ran before it — which is
 // what makes the scheduler's out-of-order execution bit-deterministic
-// after the in-order merge. The dense loops are 4-row register-blocked
-// (Dot4/Axpy4) and the exponentials use the vectorized fast-exp;
-// tracer bookkeeping is hoisted behind nil checks so the untraced
-// serving path pays nothing for it.
+// after the in-order merge. The dense loops are one DotRows and one
+// AxpyRows call per chunk — the dispatched block kernels, so the chunk
+// loop runs at the active kernel tier like the baseline's long passes
+// do — and the exponentials use the vectorized fast-exp; tracer
+// bookkeeping is hoisted behind nil checks so the untraced serving path
+// pays nothing for it.
 //
 //mnnfast:hotpath
 func (c *Column) processChunk(u tensor.Vector, lo, hi, worker int, p *Partial, logits tensor.Vector, st *Stats) {
@@ -227,17 +229,9 @@ func (c *Column) processChunk(u tensor.Vector, lo, hi, worker int, p *Partial, l
 	n := hi - lo
 	t := logits[:n]
 
-	// Step 1+2 of Fig 5(b): chunk inner products, four memory rows per
-	// pass so each question element is loaded once per four rows.
-	in := mem.In
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		t[i-lo], t[i-lo+1], t[i-lo+2], t[i-lo+3] =
-			tensor.Dot4(u, in.Row(i), in.Row(i+1), in.Row(i+2), in.Row(i+3))
-	}
-	for ; i < hi; i++ {
-		t[i-lo] = tensor.Dot(u, in.Row(i))
-	}
+	// Step 1+2 of Fig 5(b): chunk inner products, one block-kernel call
+	// for the whole chunk.
+	tensor.DotRows(mem.In.Data[lo*ed:hi*ed], u, t)
 	if tr != nil {
 		// Scratch offsets are per worker so the trace reflects genuine
 		// reuse of a small buffer rather than an ns-sized spill.
@@ -266,40 +260,17 @@ func (c *Column) processChunk(u tensor.Vector, lo, hi, worker int, p *Partial, l
 	// The chunk sum can only be smaller than the final normalizer, so
 	// every skip here would also be skipped by the exact p_i < th rule:
 	// sound, conservative, and convergent to the exact rule as the
-	// chunk's share of the mass grows.
-	th := c.opt.SkipThreshold
-	out := mem.Out
-	if th > 0 {
-		cut := th * p.Sum
-		for i := lo; i < hi; i++ {
-			e := t[i-lo]
-			if e < cut {
-				st.SkippedRows++
-				continue
-			}
-			if tr != nil {
-				memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpRead, int64(i)*int64(rowBytes), rowBytes)
-			}
-			tensor.Axpy(e, out.Row(i), p.O)
-			st.WeightedSumMuls += int64(ed)
-		}
-		return
-	}
-	// No skipping: consume four output rows per pass so each element of
-	// the accumulator is loaded and stored once per four rows.
-	i = lo
-	for ; i+4 <= hi; i += 4 {
-		k := i - lo
-		tensor.Axpy4(t[k], t[k+1], t[k+2], t[k+3],
-			out.Row(i), out.Row(i+1), out.Row(i+2), out.Row(i+3), p.O)
-	}
-	for ; i < hi; i++ {
-		tensor.Axpy(t[i-lo], out.Row(i), p.O)
-	}
+	// chunk's share of the mass grows. Without a threshold the cut is 0
+	// and no exponential is below it.
+	cut := c.opt.SkipThreshold * p.Sum
+	skipped := tensor.AxpyRows(t, mem.Out.Data[lo*ed:hi*ed], cut, p.O)
 	if tr != nil {
 		for i := lo; i < hi; i++ {
-			memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpRead, int64(i)*int64(rowBytes), rowBytes)
+			if !(t[i-lo] < cut) {
+				memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpRead, int64(i)*int64(rowBytes), rowBytes)
+			}
 		}
 	}
-	st.WeightedSumMuls += int64(n) * int64(ed)
+	st.SkippedRows += int64(skipped)
+	st.WeightedSumMuls += int64(n-skipped) * int64(ed)
 }

@@ -19,14 +19,12 @@ import (
 //
 // Bit-exactness contract: the batched pass performs exactly the same
 // float32 operations in exactly the same order per question as the
-// single-question path (applyInto with a cached EmbeddedStory) — the
-// same tensor.Dot per attention logit, the same tensor.Softmax, the
-// same ascending-row tensor.Axpy accumulation, the same output
-// projection. Only the loop nesting changes (rows outer, questions
+// single-question path (applyInto with a cached EmbeddedStory) — both
+// run attend, which steps through the same row chunks and applies the
+// same kernels to each question's own state — and the same output
+// projection. Only the loop nesting changes (chunks outer, questions
 // inner), which affects locality, not results. The equivalence property
-// test in batch_test.go pins this down to the bit level; any kernel
-// change that breaks it (e.g. swapping the per-question Dot for the
-// differently-associated Dot4) is a behavior change, not a refactor.
+// test in batch_test.go pins this down to the bit level.
 
 // BatchForward holds the per-question forward state and the grouping
 // scratch of one batched predict. Buffers are reshaped grow-only and
@@ -38,8 +36,10 @@ type BatchForward struct {
 
 	// Grouping scratch: order is a permutation of the live questions
 	// with questions that share an EmbeddedStory adjacent; groups holds
-	// the end offset of each group within order.
+	// the end offset of each group within order, and ptrs the Forward of
+	// each question of order (what attend takes).
 	order   []int
+	ptrs    []*Forward
 	groups  []int
 	grouped []bool
 
@@ -70,8 +70,7 @@ type BatchForward struct {
 }
 
 // runGroup executes story group g's attention for the current hop as
-// worker slot w: logits, softmax, and the zero-skipping weighted sum
-// for every question of the group.
+// worker slot w, for every question of the group.
 //
 //mnnfast:hotpath
 func (bf *BatchForward) runGroup(g, w int) {
@@ -84,7 +83,6 @@ func (bf *BatchForward) runGroup(g, w int) {
 	group := bf.order[start:bf.groups[g]]
 	es := bf.stories[group[0]]
 	in, outMem := es.MemIn[k], es.MemOut[k]
-	ns := es.NS
 
 	if idx := m.topkIndex(es, k); idx != nil {
 		// Approximate attention: per question, the exact operations of
@@ -114,50 +112,19 @@ func (bf *BatchForward) runGroup(g, w int) {
 		return
 	}
 
-	// Attention logits: rows outer, questions inner — each memory row
-	// is read once for the whole group. Per question this is exactly
-	// MatVec's serial loop (one tensor.Dot per row), so the logits are
-	// bit-identical to the single path.
-	for _, q := range group {
-		f := &bf.fs[q]
-		f.P[k] = growVec(f.P[k], ns)
-	}
-	for r := 0; r < ns; r++ {
-		row := in.Row(r)
+	// Exact attention: one chunked pass over the story's rows shared by
+	// the whole group (see attend). Linear-start passes keep the dense
+	// per-question hop, which has no softmax to defer.
+	skipped := 0
+	if m.LinearAttention {
 		for _, q := range group {
-			bf.fs[q].P[k][r] = tensor.Dot(row, bf.fs[q].U[k])
+			skipped += m.attendDense(in, outMem, k, bf.skip, &bf.fs[q])
 		}
+	} else {
+		skipped = attend(in, outMem, k, bf.skip, bf.ptrs[start:bf.groups[g]])
 	}
-	for _, q := range group {
-		if !m.LinearAttention {
-			tensor.Softmax(bf.fs[q].P[k])
-		}
-	}
-
-	// Weighted sum with zero-skipping, rows outer again: each M_OUT row
-	// is read once and accumulated into every question of the group that
-	// does not skip it, in the same ascending-row Axpy order as the
-	// single path.
-	for _, q := range group {
-		f := &bf.fs[q]
-		f.O[k] = growVec(f.O[k], d)
-		f.O[k].Zero()
-	}
-	skipped := int64(0)
-	for r := 0; r < ns; r++ {
-		outRow := outMem.Row(r)
-		for _, q := range group {
-			f := &bf.fs[q]
-			p := f.P[k][r]
-			if bf.skip > 0 && p < bf.skip {
-				skipped++
-				continue
-			}
-			tensor.Axpy(p, outRow, f.O[k])
-		}
-	}
-	bf.wskip[w] += skipped
-	bf.wrows[w] += int64(ns) * int64(len(group))
+	bf.wskip[w] += int64(skipped)
+	bf.wrows[w] += int64(es.NS) * int64(len(group))
 }
 
 // Logits returns question i's answer logits from the last batched pass,
@@ -223,7 +190,7 @@ func (bf *BatchForward) ensure(n, w int) {
 //
 //mnnfast:hotpath allow=append the order/groups slices grow-only toward MaxBatch and then stay put
 func (bf *BatchForward) group(stories []*EmbeddedStory, live []int) {
-	bf.order = bf.order[:0]
+	bf.order, bf.ptrs = bf.order[:0], bf.ptrs[:0]
 	bf.groups = bf.groups[:0]
 	for _, q := range live {
 		bf.grouped[q] = false
@@ -232,11 +199,11 @@ func (bf *BatchForward) group(stories []*EmbeddedStory, live []int) {
 		if bf.grouped[q] {
 			continue
 		}
-		bf.order = append(bf.order, q)
+		bf.order, bf.ptrs = append(bf.order, q), append(bf.ptrs, &bf.fs[q])
 		for _, r := range live[i+1:] {
 			if !bf.grouped[r] && stories[r] == stories[q] {
 				bf.grouped[r] = true
-				bf.order = append(bf.order, r)
+				bf.order, bf.ptrs = append(bf.order, r), append(bf.ptrs, &bf.fs[r])
 			}
 		}
 		bf.groups = append(bf.groups, len(bf.order))
@@ -481,7 +448,7 @@ func (m *Model) gateBatch(bf *BatchForward, live []int, policy ExitPolicy, h int
 		f := &bf.fs[q]
 		var conf float32
 		if policy.Metric == ExitAttnMax {
-			conf = f.P[k].Max()
+			conf = f.attnPeak(k)
 		} else {
 			bf.gateP = growVec(bf.gateP, answers)
 			copy(bf.gateP, f.Logits)

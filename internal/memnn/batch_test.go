@@ -125,15 +125,15 @@ func TestPredictBatchEquivalence(t *testing.T) {
 
 // TestPredictBatchMatchesUncachedPath pins the other half of the chain:
 // the cached-embedding path (EmbedStoryInto + ApplyInstrumented) is
-// itself bit-identical to the plain ApplyInto that embeds per call, so
-// batched answers equal the from-scratch single-Infer path too.
+// itself bit-identical to the same pass embedding per call, so batched
+// answers equal the from-scratch single-Infer path too.
 func TestPredictBatchMatchesUncachedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 50; iter++ {
 		c := randBatchCase(t, rng, 1)
 		var f, f2 Forward
 		cached := c.model.ApplyInstrumented(c.exs[0], c.th, &f, c.stories[0], nil)
-		plain := c.model.ApplyInto(c.exs[0], c.th, &f2)
+		plain := c.model.ApplyInstrumented(c.exs[0], c.th, &f2, nil, nil)
 		for i := range plain.Logits {
 			if math.Float32bits(cached.Logits[i]) != math.Float32bits(plain.Logits[i]) {
 				t.Fatalf("iter %d: cached logit %d = %x, plain %x", iter, i,

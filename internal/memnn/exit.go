@@ -169,16 +169,16 @@ func answerConfidence(metric ExitMetric, probs tensor.Vector) float32 {
 }
 
 // gateConfidence evaluates the policy metric after hop k (state
-// f.U[k+1], attention f.P[k]). For the answer metrics it computes the
-// exit logits W·u into f.Logits — one tensor.Dot per answer row, the
-// exact operation of the final output projection — and the softmax
-// into the gate scratch. ExitAttnMax reads the attention peak without
+// f.U[k+1], attention peak f.attnPeak(k)). For the answer metrics it
+// computes the exit logits W·u into f.Logits — one tensor.Dot per
+// answer row, the exact operation of the final output projection — and
+// the softmax into the gate scratch. ExitAttnMax reads the attention peak without
 // touching W. Nothing the gate writes is read by later hops.
 //
 //mnnfast:hotpath
 func (m *Model) gateConfidence(metric ExitMetric, f *Forward, k int) float32 {
 	if metric == ExitAttnMax {
-		return f.P[k].Max()
+		return f.attnPeak(k)
 	}
 	f.Logits = growVec(f.Logits, m.Cfg.Answers)
 	tensor.MatVec(nil, m.W, f.U[k+1], f.Logits)
@@ -196,7 +196,7 @@ func (m *Model) gateConfidence(metric ExitMetric, f *Forward, k int) float32 {
 //
 //mnnfast:hotpath
 func (m *Model) ApplyGated(ex Example, skipThreshold float32, policy ExitPolicy, f *Forward, es *EmbeddedStory, ins *Instrumentation) *Forward {
-	return m.applyInto(ex, skipThreshold, f, es, ins, policy)
+	return m.applyInto(ex, skipThreshold, f, es, ins, policy, false)
 }
 
 // PredictGated returns the argmax answer class of the gated pass; read
@@ -204,7 +204,7 @@ func (m *Model) ApplyGated(ex Example, skipThreshold float32, policy ExitPolicy,
 //
 //mnnfast:hotpath
 func (m *Model) PredictGated(ex Example, skipThreshold float32, policy ExitPolicy, f *Forward, es *EmbeddedStory, ins *Instrumentation) int {
-	return m.applyInto(ex, skipThreshold, f, es, ins, policy).Logits.ArgMax()
+	return m.applyInto(ex, skipThreshold, f, es, ins, policy, false).Logits.ArgMax()
 }
 
 // ExitStats summarizes a gated evaluation sweep at one policy: how
@@ -238,8 +238,8 @@ func (m *Model) EvaluateExit(examples []Example, skipThreshold float32, policy E
 	var f, full Forward
 	agree, hops := 0, 0
 	for _, ex := range examples {
-		gated := m.applyInto(ex, skipThreshold, &f, nil, nil, policy).Logits.ArgMax()
-		want := m.ApplyInto(ex, skipThreshold, &full).Logits.ArgMax()
+		gated := m.applyInto(ex, skipThreshold, &f, nil, nil, policy, false).Logits.ArgMax()
+		want := m.PredictSkipInto(ex, skipThreshold, &full)
 		if gated == want {
 			agree++
 		}

@@ -102,13 +102,13 @@ func TestExitThresholdMonotonicity(t *testing.T) {
 }
 
 // TestExitZeroPolicyBitIdentical: the zero policy must be the ungated
-// pass, bit for bit — ApplyGated with ExitPolicy{} and ApplyInto see
-// the same code path.
+// inference pass, bit for bit — ApplyGated with ExitPolicy{} and
+// ApplyInstrumented see the same code path.
 func TestExitZeroPolicyBitIdentical(t *testing.T) {
 	m, c := exitFixture(t)
 	var f, g Forward
 	for i, ex := range c.Test {
-		want := m.ApplyInto(ex, 0.01, &f)
+		want := m.ApplyInstrumented(ex, 0.01, &f, nil, nil)
 		got := m.ApplyGated(ex, 0.01, ExitPolicy{}, &g, nil, nil)
 		if got.ExitHop != m.Cfg.Hops {
 			t.Fatalf("q %d: zero policy exit hop %d, want %d", i, got.ExitHop, m.Cfg.Hops)
@@ -144,7 +144,7 @@ func TestExitFallbackCommits(t *testing.T) {
 		if got.ExitHop != m.Cfg.Hops {
 			continue // exited at MinHops; covered by the shedding tests
 		}
-		want := m.ApplyInto(ex, 0, &f)
+		want := m.ApplyInstrumented(ex, 0, &f, nil, nil)
 		for j := range want.Logits {
 			if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
 				t.Fatalf("q %d logit %d: committed %x != ungated %x", i, j,
@@ -338,7 +338,7 @@ func FuzzExitPolicy(f *testing.F) {
 				t.Fatalf("exit hop %d with unfireable threshold %v", got.ExitHop, th)
 			}
 			var f Forward
-			want := m.ApplyInto(ex, 0.01, &f)
+			want := m.ApplyInstrumented(ex, 0.01, &f, nil, nil)
 			for j := range want.Logits {
 				if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
 					t.Fatalf("logit %d: gated %x != full %x under unfireable policy %+v", j,

@@ -115,7 +115,7 @@ func (m *Model) EmbedStoryInto(ex Example, es *EmbeddedStory) {
 //
 //mnnfast:hotpath
 func (m *Model) ApplyInstrumented(ex Example, skipThreshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation) *Forward {
-	return m.applyInto(ex, skipThreshold, f, es, ins, ExitPolicy{})
+	return m.applyInto(ex, skipThreshold, f, es, ins, ExitPolicy{}, false)
 }
 
 // PredictInstrumented returns the argmax answer class using the cached
@@ -123,5 +123,5 @@ func (m *Model) ApplyInstrumented(ex Example, skipThreshold float32, f *Forward,
 //
 //mnnfast:hotpath
 func (m *Model) PredictInstrumented(ex Example, threshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation) int {
-	return m.applyInto(ex, threshold, f, es, ins, ExitPolicy{}).Logits.ArgMax()
+	return m.applyInto(ex, threshold, f, es, ins, ExitPolicy{}, false).Logits.ArgMax()
 }

@@ -187,13 +187,23 @@ type Forward struct {
 	U      []tensor.Vector  // Hops+1 internal states (U[0] = question)
 	MemIn  []*tensor.Matrix // per hop: ns×d input memory (embedded)
 	MemOut []*tensor.Matrix // per hop: ns×d output memory (embedded)
-	P      []tensor.Vector  // per hop: attention weights (length ns)
+	P      []tensor.Vector  // per hop: attention weights (see below)
 	O      []tensor.Vector  // per hop: response vector
 	Logits tensor.Vector    // answer logits (length Answers)
 
 	// ExitHop is the number of hops the pass actually executed: Hops
 	// normally, fewer when a confidence gate fired (see ExitPolicy).
 	ExitHop int
+
+	// P[k] has length ns only on the dense path (Apply, ApplyInto and
+	// linear-start passes; see attendDense). Under top-k attention it is
+	// the compact survivor distribution, and the exact inference hop
+	// (attend) leaves it empty: it never materialises the weights and
+	// keeps only its lazy-softmax state here — the running maximum and
+	// sum of the hop in flight, the chunk scratch, and the finished
+	// hop's largest attention weight.
+	max, sum, peak float32
+	t              tensor.Vector
 
 	// gateP is the gate's softmax scratch (length Answers); it never
 	// feeds back into the forward state.
@@ -255,11 +265,12 @@ func (m *Model) temporalRow(table *tensor.Matrix, i, ns int) tensor.Vector {
 }
 
 // Apply runs the forward pass for one example and returns all
-// intermediates. The zero-skip threshold, if positive, zeroes attention
-// weights below it before the weighted sum (the paper's Algorithm 1);
-// the skipped mass is NOT renormalized, matching the paper's FPGA
-// implementation which accumulates every exp into P_sum but skips only
-// the weighted-sum work.
+// intermediates, the per-hop attention vectors P included — the form
+// the trainer and the evaluation reports need. The zero-skip threshold,
+// if positive, zeroes attention weights below it before the weighted
+// sum (the paper's Algorithm 1); the skipped mass is NOT renormalized,
+// matching the paper's FPGA implementation which accumulates every exp
+// into P_sum but skips only the weighted-sum work.
 func (m *Model) Apply(ex Example, skipThreshold float32) *Forward {
 	return m.ApplyInto(ex, skipThreshold, new(Forward))
 }
@@ -294,19 +305,21 @@ func growMat(mat *tensor.Matrix, rows, cols int) *tensor.Matrix {
 //
 //mnnfast:hotpath
 func (m *Model) ApplyInto(ex Example, skipThreshold float32, f *Forward) *Forward {
-	return m.applyInto(ex, skipThreshold, f, nil, nil, ExitPolicy{})
+	return m.applyInto(ex, skipThreshold, f, nil, nil, ExitPolicy{}, true)
 }
 
-// applyInto is the forward pass shared by ApplyInto, ApplyInstrumented
-// and ApplyGated. es, when non-nil, supplies pre-embedded memories
-// for the story (skipping the per-hop encode); ins, when non-nil,
-// accumulates per-stage wall time and zero-skip counters; policy, when
-// armed, gates each eligible hop on a confidence score and exits early
-// when it clears the threshold (see exit.go for the determinism
-// contract). All paths stay allocation-free at steady state.
+// applyInto is the forward pass shared by every entry point. es, when
+// non-nil, supplies pre-embedded memories for the story (skipping the
+// per-hop encode); ins, when non-nil, accumulates per-stage wall time
+// and zero-skip counters; policy, when armed, gates each eligible hop
+// on a confidence score and exits early when it clears the threshold
+// (see exit.go for the determinism contract); dense materialises the
+// attention vectors in f.P (attendDense) where the inference entry
+// points run the column-chunked lazy-softmax hop (attend). All paths
+// stay allocation-free at steady state.
 //
 //mnnfast:hotpath
-func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation, policy ExitPolicy) *Forward {
+func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation, policy ExitPolicy, dense bool) *Forward {
 	ns := len(ex.Sentences)
 	if ns == 0 {
 		panic("memnn: Apply on example with no story sentences")
@@ -372,8 +385,6 @@ func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *Emb
 		}
 		he := ev.Begin("hop", -1)
 
-		o := growVec(f.O[k], d)
-		f.O[k] = o
 		skipped, rows := 0, ns
 		if idx := m.topkIndex(es, k); idx != nil {
 			// Approximate attention: probe the hop's IVF index, softmax
@@ -385,10 +396,10 @@ func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *Emb
 			// composition, allocation-free at steady state.
 			scr := sparse.GetProbeScratch()
 			c, ast := idx.Attend(f.U[k], m.topk.K, m.topk.NProbe, scr)
-			p := growVec(f.P[k], ast.Kept)
-			f.P[k] = p
-			copy(p, c.Weights)
-			skipped = c.WeightedSumGather(out, skipThreshold, o)
+			f.P[k] = growVec(f.P[k], ast.Kept)
+			copy(f.P[k], c.Weights)
+			f.O[k] = growVec(f.O[k], d)
+			skipped = c.WeightedSumGather(out, skipThreshold, f.O[k])
 			sparse.PutProbeScratch(scr)
 			rows = ast.Kept
 			ev.Annotate(he, "topk_probed", int64(ast.Probed))
@@ -397,26 +408,11 @@ func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *Emb
 				ins.ProbedRows += int64(ast.Probed)
 				ins.CandRows += int64(ast.Kept)
 			}
+		} else if dense || m.LinearAttention {
+			skipped = m.attendDense(in, out, k, skipThreshold, f)
 		} else {
-			// Input memory representation: p = softmax(u · M_INᵀ), or
-			// the raw inner products during linear-start training.
-			p := growVec(f.P[k], ns)
-			f.P[k] = p
-			tensor.MatVec(nil, in, f.U[k], p)
-			if !m.LinearAttention {
-				tensor.Softmax(p)
-			}
-
-			// Output memory representation: o = Σ pᵢ m_iᴼᵁᵀ, optionally
-			// skipping near-zero attention rows.
-			o.Zero()
-			for i := 0; i < ns; i++ {
-				if skipThreshold > 0 && p[i] < skipThreshold {
-					skipped++
-					continue
-				}
-				tensor.Axpy(p[i], out.Row(i), o)
-			}
+			one := [1]*Forward{f}
+			skipped = attend(in, out, k, skipThreshold, one[:])
 		}
 
 		// Output calculation input: u' = u + o (adjacent) or
@@ -428,7 +424,7 @@ func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *Emb
 		} else {
 			copy(u, f.U[k])
 		}
-		u.AddInPlace(o)
+		u.AddInPlace(f.O[k])
 		ev.Annotate(he, "hop", int64(k))
 		ev.Annotate(he, "skipped", int64(skipped))
 		ev.Annotate(he, "rows", int64(rows))
@@ -490,13 +486,13 @@ func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *Emb
 
 // Predict returns the argmax answer class for the example.
 func (m *Model) Predict(ex Example) int {
-	return m.Apply(ex, 0).Logits.ArgMax()
+	return m.PredictSkip(ex, 0)
 }
 
 // PredictSkip returns the argmax answer class with zero-skipping applied
 // at the given threshold.
 func (m *Model) PredictSkip(ex Example, threshold float32) int {
-	return m.Apply(ex, threshold).Logits.ArgMax()
+	return m.PredictSkipInto(ex, threshold, new(Forward))
 }
 
 // PredictSkipInto is PredictSkip with a caller-provided Forward reused
@@ -504,7 +500,7 @@ func (m *Model) PredictSkip(ex Example, threshold float32) int {
 //
 //mnnfast:hotpath
 func (m *Model) PredictSkipInto(ex Example, threshold float32, f *Forward) int {
-	return m.ApplyInto(ex, threshold, f).Logits.ArgMax()
+	return m.applyInto(ex, threshold, f, nil, nil, ExitPolicy{}, false).Logits.ArgMax()
 }
 
 // NumParams returns the total trainable parameter count.

@@ -68,9 +68,11 @@ func randTopKCase(t *testing.T, rng *rand.Rand, batch int, cfgTopK TopKConfig) t
 }
 
 // TestTopKFullProbeMatchesExact pins the degeneration contract at the
-// model level: with every list probed and no top-k cut, the topk hop
-// performs the exact hop's operations on the same rows in the same
-// order, so the logits are bit-identical to the exact path.
+// model level: with every list probed, no top-k cut and no zero-skip
+// (the two hops test different quantities against the threshold), the
+// topk hop evaluates the exact hop's equations on the same rows, so
+// the logits agree within reorderTol — the gather normalises before
+// the weighted sum, the exact hop after it.
 func TestTopKFullProbeMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for caseN := 0; caseN < 40; caseN++ {
@@ -85,23 +87,14 @@ func TestTopKFullProbeMatchesExact(t *testing.T) {
 		var fTop, fExact Forward
 		var ins Instrumentation
 
-		got := c.model.ApplyInstrumented(ex, c.th, &fTop, es, &ins)
-		gotBits := make([]uint32, len(got.Logits))
-		for i, v := range got.Logits {
-			gotBits[i] = math.Float32bits(v)
-		}
+		got := c.model.ApplyInstrumented(ex, 0, &fTop, es, &ins)
 		if ins.ProbedRows != int64(es.NS)*int64(c.model.Cfg.Hops) {
 			t.Fatalf("case %d: full probe scored %d rows, want %d", caseN, ins.ProbedRows, es.NS*c.model.Cfg.Hops)
 		}
 
 		c.model.SetTopK(TopKConfig{}) // exact path, same cached story
-		want := c.model.ApplyInstrumented(ex, c.th, &fExact, es, nil)
-		for i := range want.Logits {
-			if gotBits[i] != math.Float32bits(want.Logits[i]) {
-				t.Fatalf("case %d: logit %d = %x, want %x (full-probe topk not bit-identical to exact)",
-					caseN, i, gotBits[i], math.Float32bits(want.Logits[i]))
-			}
-		}
+		want := c.model.ApplyInstrumented(ex, 0, &fExact, es, nil)
+		assertReordered(t, "full-probe topk vs exact", got.Logits, want.Logits)
 	}
 }
 

@@ -30,9 +30,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -157,20 +159,58 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// statusWriter captures the response status for metrics and logging.
+// statusWriter captures the response status for metrics and logging,
+// and whether the reply has started (a recovered panic can still send a
+// 500 only if it has not).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	wrote  bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
+	w.status, w.wrote = code, true
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
+}
+
+// serve runs the handler tree for one request and is the backstop
+// behind the request-boundary audit: the inference core panics on an
+// empty story, a story beyond MaxSent and a stale embedding cache, and
+// although no JSON request can reach those (the handlers answer 409,
+// trim, and re-embed under the session lock; see boundary_test.go), a
+// panic that does escape a handler must cost one request, not the
+// process. It is logged with its stack, noted on the request trace, and
+// answered with a 500 when the reply has not started; the middleware
+// then accounts for the request as for any other error.
+// http.ErrAbortHandler keeps its net/http meaning and is re-raised.
+func (s *Server) serve(next http.Handler, w *statusWriter, r *http.Request, tr *trace.Trace) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			panic(p)
+		}
+		log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+		tr.AnnotateStr(tr.Root(), "panic", fmt.Sprint(p))
+		if w.wrote {
+			w.status = http.StatusInternalServerError // too late to say so
+			return
+		}
+		httpError(w, http.StatusInternalServerError, "internal error")
+	}()
+	next.ServeHTTP(w, r)
 }
 
 // instrument wraps the mux with request-ID tagging, request-scoped
 // tracing, in-flight and per-handler accounting, optional pprof
-// labels, and the optional access log.
+// labels, panic recovery (serve), and the optional access log.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -206,10 +246,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		t0 := time.Now()
 		if s.PprofLabels {
 			pprof.Do(r.Context(), pprof.Labels("handler", label, "session", sess), func(ctx context.Context) {
-				next.ServeHTTP(sw, r.WithContext(ctx))
+				s.serve(next, sw, r.WithContext(ctx), tr)
 			})
 		} else {
-			next.ServeHTTP(sw, r)
+			s.serve(next, sw, r, tr)
 		}
 		d := time.Since(t0)
 		s.met.inflight.Add(-1)
@@ -363,50 +403,61 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Fast path: the session's embedded story is cached — answer under
-	// the read lock so concurrent questions on this session (and any
-	// traffic on other sessions) proceed in parallel. A valid cache
-	// implies a non-empty story.
-	sess.mu.RLock()
-	if sess.cacheValid {
-		tr.Annotate(tr.Root(), "cache_hit", 1)
-		idx := s.predict(memnn.Example{Sentences: sess.cachedSentences, Question: qIDs}, &sess.emb, tr)
-		n := len(sess.story.Sentences)
-		sess.mu.RUnlock()
-		s.met.cacheHits.Inc()
+	idx, n, ok := s.answerCached(sess, qIDs, tr)
+	if !ok {
+		idx, n, err = s.answerEmbedding(sess, qIDs, tr)
+	}
+	switch {
+	case errors.Is(err, errNoStory):
+		httpError(w, http.StatusConflict, "%v", err)
+	case err != nil:
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+	default:
 		writeJSON(w, http.StatusOK, AnswerResponse{
 			Answer: s.corpus.AnswerWord(idx), Index: idx, Sentences: n,
 		})
-		return
 	}
-	sess.mu.RUnlock()
+}
 
-	// Slow path: first answer after a story mutation — (re)embed the
-	// story under the write lock, then answer while still holding it.
+// answerCached is the fast path: the session's embedded story is cached
+// — answer under the read lock so concurrent questions on this session
+// (and any traffic on other sessions) proceed in parallel. A valid
+// cache implies a non-empty story. ok is false when the cache is not
+// valid. The lock is released by defer, here and in answerEmbedding, so
+// a panic recovered by serve does not leave the session locked.
+func (s *Server) answerCached(sess *session, qIDs []int, tr *trace.Trace) (idx, n int, ok bool) {
+	sess.mu.RLock()
+	defer sess.mu.RUnlock()
+	if !sess.cacheValid {
+		return 0, 0, false
+	}
+	tr.Annotate(tr.Root(), "cache_hit", 1)
+	idx = s.predict(memnn.Example{Sentences: sess.cachedSentences, Question: qIDs}, &sess.emb, tr)
+	s.met.cacheHits.Inc()
+	return idx, len(sess.story.Sentences), true
+}
+
+// answerEmbedding is the slow path: first answer after a story mutation
+// — (re)embed the story under the write lock, then answer while still
+// holding it. An empty story is errNoStory.
+func (s *Server) answerEmbedding(sess *session, qIDs []int, tr *trace.Trace) (idx, n int, err error) {
 	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	if len(sess.story.Sentences) == 0 {
-		sess.mu.Unlock()
-		httpError(w, http.StatusConflict, "no story in session; POST /v1/story first")
-		return
+		return 0, 0, errNoStory
 	}
 	if !sess.cacheValid {
 		tr.Annotate(tr.Root(), "cache_hit", 0)
 		if err := s.embedSession(sess, tr); err != nil {
-			sess.mu.Unlock()
-			httpError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
+			return 0, 0, err
 		}
 		s.met.cacheMisses.Inc()
 	} else {
 		tr.Annotate(tr.Root(), "cache_hit", 1)
 		s.met.cacheHits.Inc() // another goroutine embedded it meanwhile
 	}
-	idx := s.predict(memnn.Example{Sentences: sess.cachedSentences, Question: qIDs}, &sess.emb, tr)
-	n := len(sess.story.Sentences)
-	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, AnswerResponse{
-		Answer: s.corpus.AnswerWord(idx), Index: idx, Sentences: n,
-	})
+	idx = s.predict(memnn.Example{Sentences: sess.cachedSentences, Question: qIDs}, &sess.emb, tr)
+	return idx, len(sess.story.Sentences), nil
 }
 
 // embedSession vectorizes and embeds the session's story into its

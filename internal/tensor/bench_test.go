@@ -99,3 +99,32 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// BenchmarkRowKernels compares the multi-row block kernels with the
+// per-row Dot loop and Axpy sweep they replace, on a cache-resident
+// 256-row block at the embedding widths the serving path sees.
+func BenchmarkRowKernels(b *testing.B) {
+	const rows = 256
+	for _, cols := range []int{16, 24, 64} {
+		rng := rand.New(rand.NewSource(4))
+		block := RandomMatrix(rng, rows, cols, 1)
+		x, acc := RandomVector(rng, cols, 1), NewVector(cols)
+		y := NewVector(rows)
+		run := func(name string, fn func()) {
+			b.Run(name+"/d="+itoa(cols), func(b *testing.B) {
+				b.SetBytes(block.SizeBytes())
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+			})
+		}
+		run("DotLoop", func() { MatVec(nil, block, x, y) })
+		run("DotRows", func() { DotRows(block.Data, x, y) })
+		run("AxpySweep", func() {
+			for i := 0; i < rows; i++ {
+				Axpy(y[i], block.Row(i), acc)
+			}
+		})
+		run("AxpyRows", func() { AxpyRows(y, block.Data, 0, acc) })
+	}
+}

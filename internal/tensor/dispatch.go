@@ -7,8 +7,9 @@ import (
 
 // Kernel dispatch.
 //
-// The hot inner loops — Dot, Axpy, Scale, AddInPlace, ExpInto — exist
-// in up to three tiers:
+// The hot inner loops — Dot, Axpy, Scale, AddInPlace, ExpInto, and the
+// multi-row block kernels DotRows and AxpyRows — exist in up to three
+// tiers:
 //
 //	scalar  one-loop reference twins (kernels_scalar.go); float64
 //	        math.Exp for the exponential. Ground truth, never fast.
@@ -32,6 +33,8 @@ import (
 // matches the Go kernels; Scale, AddInPlace, Axpy, and ExpInto are
 // bit-identical between the go and avx2 tiers, while Dot may differ
 // within the documented reassociation tolerance (8 lanes instead of 4).
+// Within a tier, DotRows is bit-identical to a loop of that tier's Dot
+// and AxpyRows to the ascending sweep of that tier's Axpy.
 
 // Tier names, in increasing speed order.
 const (
@@ -44,11 +47,13 @@ const (
 // by the exported wrappers before these are called; implementations may
 // assume matching lengths (the scalar twins re-check and that is fine).
 type kernelTable struct {
-	dot     func(a, b Vector) float32
-	axpy    func(a float32, x, y Vector)
-	scale   func(v Vector, a float32)
-	add     func(v, w Vector)
-	expInto func(dst, src Vector, shift float32) float32
+	dot      func(a, b Vector) float32
+	axpy     func(a float32, x, y Vector)
+	scale    func(v Vector, a float32)
+	add      func(v, w Vector)
+	expInto  func(dst, src Vector, shift float32) float32
+	dotRows  func(rows []float32, x, y Vector)
+	axpyRows func(w Vector, rows []float32, cut float32, acc Vector) int
 }
 
 // kernelTiers holds every tier available on this build/host.
@@ -59,18 +64,22 @@ var kernelTiers = buildKernelTiers()
 func buildKernelTiers() map[string]kernelTable {
 	tiers := map[string]kernelTable{
 		TierScalar: {
-			dot:     DotScalar,
-			axpy:    AxpyScalar,
-			scale:   ScaleScalar,
-			add:     AddScalar,
-			expInto: ExpIntoScalar,
+			dot:      DotScalar,
+			axpy:     AxpyScalar,
+			scale:    ScaleScalar,
+			add:      AddScalar,
+			expInto:  ExpIntoScalar,
+			dotRows:  DotRowsScalar,
+			axpyRows: AxpyRowsScalar,
 		},
 		TierGo: {
-			dot:     dotGo,
-			axpy:    axpyGo,
-			scale:   scaleGo,
-			add:     addGo,
-			expInto: expIntoGo,
+			dot:      dotGo,
+			axpy:     axpyGo,
+			scale:    scaleGo,
+			add:      addGo,
+			expInto:  expIntoGo,
+			dotRows:  dotRowsGo,
+			axpyRows: axpyRowsGo,
 		},
 	}
 	for name, tab := range archTiers() {
@@ -83,12 +92,14 @@ func buildKernelTiers() map[string]kernelTable {
 // Reads on the hot path are plain loads; SetKernelTier is startup/test
 // only (see package comment above).
 var (
-	activeTier  string
-	dotImpl     func(a, b Vector) float32
-	axpyImpl    func(a float32, x, y Vector)
-	scaleImpl   func(v Vector, a float32)
-	addImpl     func(v, w Vector)
-	expIntoImpl func(dst, src Vector, shift float32) float32
+	activeTier   string
+	dotImpl      func(a, b Vector) float32
+	axpyImpl     func(a float32, x, y Vector)
+	scaleImpl    func(v Vector, a float32)
+	addImpl      func(v, w Vector)
+	expIntoImpl  func(dst, src Vector, shift float32) float32
+	dotRowsImpl  func(rows []float32, x, y Vector)
+	axpyRowsImpl func(w Vector, rows []float32, cut float32, acc Vector) int
 )
 
 func init() {
@@ -137,5 +148,7 @@ func SetKernelTier(name string) error {
 	scaleImpl = tab.scale
 	addImpl = tab.add
 	expIntoImpl = tab.expInto
+	dotRowsImpl = tab.dotRows
+	axpyRowsImpl = tab.axpyRows
 	return nil
 }

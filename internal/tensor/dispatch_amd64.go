@@ -12,11 +12,13 @@ func archTiers() map[string]kernelTable {
 	}
 	return map[string]kernelTable{
 		TierAVX2: {
-			dot:     dotAVX2,
-			axpy:    axpyAVX2Tier,
-			scale:   scaleAVX2,
-			add:     addAVX2,
-			expInto: expIntoAVX2Tier,
+			dot:      dotAVX2,
+			axpy:     axpyAVX2Tier,
+			scale:    scaleAVX2,
+			add:      addAVX2,
+			expInto:  expIntoAVX2Tier,
+			dotRows:  dotRowsAVX2,
+			axpyRows: axpyRowsAVX2,
 		},
 	}
 }

@@ -188,6 +188,85 @@ func TestFastTiersBitIdentical(t *testing.T) {
 	}
 }
 
+// checkRowKernels pins one tier's multi-row kernels against the per-row
+// sweeps they replace, bit for bit: dotRows against a loop of the
+// tier's dot, axpyRows against the ascending sweep of the tier's axpy
+// with the w[i] < cut bypass. block holds len(w) rows of len(x)
+// columns; every operand is re-based off elements past a 32-byte
+// boundary.
+func checkRowKernels(t *testing.T, tier string, block, x, w, acc Vector, cut float32, off int) {
+	t.Helper()
+	tab := kernelTiers[tier]
+	rows, cols := len(w), len(x)
+	block, x, w = offsetVector(block, off), offsetVector(x, off), offsetVector(w, off)
+
+	y := offsetVector(NewVector(rows), off)
+	tab.dotRows(block, x, y)
+	for i := range y {
+		if want := tab.dot(block[i*cols:(i+1)*cols], x); !bitsEqual(y[i], want) {
+			t.Errorf("tier %s: dotRows(rows=%d cols=%d off=%d)[%d] = %x, dot %x",
+				tier, rows, cols, off, i, math.Float32bits(y[i]), math.Float32bits(want))
+		}
+	}
+
+	got, want := offsetVector(acc, off), acc.Clone()
+	skipped, wantSkipped := tab.axpyRows(w, block, cut, got), 0
+	for i, a := range w {
+		if a < cut {
+			wantSkipped++
+			continue
+		}
+		tab.axpy(a, block[i*cols:(i+1)*cols], want)
+	}
+	if skipped != wantSkipped {
+		t.Errorf("tier %s: axpyRows(rows=%d cols=%d off=%d cut=%v) skipped %d rows, sweep %d",
+			tier, rows, cols, off, cut, skipped, wantSkipped)
+	}
+	for j := range got {
+		if !bitsEqual(got[j], want[j]) {
+			t.Errorf("tier %s: axpyRows(rows=%d cols=%d off=%d cut=%v)[%d] = %x, sweep %x",
+				tier, rows, cols, off, cut, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
+		}
+	}
+}
+
+// TestRowKernelsMatchPerRowSweeps is the conformance test of DotRows
+// and AxpyRows: per tier, every block shape from empty through two
+// column tiles and every row-count residue of the 4-row blocking is
+// bit-identical to the per-row Dot loop and Axpy sweep, including
+// NaN, infinite, denormal, zero and negative weights on either side of
+// the cut.
+func TestRowKernelsMatchPerRowSweeps(t *testing.T) {
+	specials := Vector{
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		1e-42, -1e-42, 0.5, -0.5, 3e38,
+	}
+	for _, tier := range KernelTiers() {
+		r := rand.New(rand.NewSource(95))
+		for _, cols := range []int{0, 1, 3, 7, 8, 9, 16, 20, 24, 31, 32, 33, 40, 64, 67} {
+			for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 13} {
+				block := RandomVector(r, rows*cols, 1)
+				x, acc := RandomVector(r, cols, 1), RandomVector(r, cols, 1)
+				w := RandomVector(r, rows, 1)
+				for i := range w {
+					w[i] = absf(w[i])
+					if i%3 == 1 {
+						w[i] = specials[(i+rows+cols)%len(specials)]
+					}
+					if w[i] == 0 && cols > 0 {
+						// Only Axpy's a == 0 fast-out keeps 0·Inf = NaN
+						// out of the accumulator.
+						block[i*cols+(i%cols)] = float32(math.Inf(1))
+					}
+				}
+				for _, cut := range []float32{0, 0.4, float32(math.Inf(-1)), float32(math.NaN())} {
+					checkRowKernels(t, tier, block, x, w, acc, cut, tierOffsets[(rows+cols)%len(tierOffsets)])
+				}
+			}
+		}
+	}
+}
+
 func TestSetKernelTier(t *testing.T) {
 	defer func() {
 		if err := SetKernelTier("auto"); err != nil {
@@ -257,7 +336,11 @@ func decodeFuzzVector(raw []byte, off int) Vector {
 // it runs every registered tier on the same inputs and cross-checks
 // Dot, Axpy, and ExpInto against the scalar twins (tolerance where
 // reassociation is allowed) and the go tier (bit-identity where the
-// contract demands it).
+// contract demands it), and DotRows and AxpyRows against the tier's own
+// per-row sweeps (checkRowKernels). For the row kernels b is cut into
+// rows of 1 + (offRaw/8 + n) mod 48 columns, a supplies the weights as
+// raw bits (the query and the accumulator are its tamed prefix), and
+// alpha is the skip cut.
 func diffKernelTiers(t *testing.T, aRaw, bRaw []byte, alpha float32, offRaw uint8) {
 	off := int(offRaw) % 8
 	a := decodeFuzzVector(aRaw, off)
@@ -279,8 +362,16 @@ func diffKernelTiers(t *testing.T, aRaw, bRaw []byte, alpha float32, offRaw uint
 	for i := range aDot {
 		sumAbs += math.Abs(float64(aDot[i]) * float64(bDot[i]))
 	}
+	cols := 1 + (int(offRaw>>3)+n)%48
+	rows := n / cols
 	for _, tier := range KernelTiers() {
 		tab := kernelTiers[tier]
+
+		if rows == 0 {
+			checkRowKernels(t, tier, nil, nil, nil, nil, alpha, off)
+		} else {
+			checkRowKernels(t, tier, b[:rows*cols], aDot[:cols], a[:rows], aDot[n-cols:], alpha, off)
+		}
 
 		got, want := tab.dot(aDot, bDot), DotScalar(aDot, bDot)
 		if math.Abs(float64(got-want)) > 1e-4*(1+sumAbs) {

@@ -30,6 +30,14 @@ func addAVX2(v, w Vector)
 //go:noescape
 func expIntoAVX2(dst, src Vector, shift float32, acc *[4]float64) int
 
+//mnnfast:asm twin=DotRowsScalar
+//go:noescape
+func dotRowsAVX2(rows []float32, x, y Vector)
+
+//mnnfast:asm twin=AxpyRowsScalar
+//go:noescape
+func axpyRowsAVX2(w Vector, rows []float32, cut float32, acc Vector) int
+
 // expKernelConstsRef exposes the assembly constant table for
 // TestExpConstantsMatchAsm; it is never on the serving path.
 //

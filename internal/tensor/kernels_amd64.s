@@ -118,6 +118,266 @@ axpydone:
 	VZEROUPPER
 	RET
 
+// func dotRowsAVX2(rows []float32, x, y Vector)
+//
+// y[i] = row_i · x over a contiguous row-major block, four rows per
+// pass: each 8-lane group of x is loaded once and multiplied into four
+// independent accumulators. Per row the operation sequence is
+// dotAVX2's — one 8-lane accumulator over the full groups in index
+// order, the fixed ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) reduction
+// (done for the four rows at once by two transposing adds), then the
+// scalar column tail in index order — so every y[i] is bit-identical
+// to dotAVX2(row_i, x). The last 0..3 rows run dotAVX2's own loop.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-72
+	MOVQ rows_base+0(FP), SI
+	MOVQ x_base+24(FP), DI
+	MOVQ x_len+32(FP), CX    // columns
+	MOVQ y_base+48(FP), BX
+	MOVQ y_len+56(FP), R10   // rows left
+	MOVQ CX, R8
+	ANDQ $-8, R8             // columns covered by full 8-lane groups
+	MOVQ CX, R9
+	SHLQ $2, R9              // row stride in bytes
+
+dotrows4:
+	CMPQ R10, $4
+	JB   dotrows1
+	LEAQ (SI)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+	LEAQ (R12)(R9*1), R13
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX
+
+dotrows4group:
+	CMPQ AX, R8
+	JAE  dotrows4reduce
+	VMOVUPS (DI)(AX*4), Y4
+	VMOVUPS (SI)(AX*4), Y5
+	VMULPS Y4, Y5, Y5
+	VADDPS Y5, Y0, Y0
+	VMOVUPS (R11)(AX*4), Y6
+	VMULPS Y4, Y6, Y6
+	VADDPS Y6, Y1, Y1
+	VMOVUPS (R12)(AX*4), Y7
+	VMULPS Y4, Y7, Y7
+	VADDPS Y7, Y2, Y2
+	VMOVUPS (R13)(AX*4), Y8
+	VMULPS Y4, Y8, Y8
+	VADDPS Y8, Y3, Y3
+	ADDQ $8, AX
+	JMP  dotrows4group
+
+dotrows4reduce:
+	// q_j = l_j + l_{j+4} per row.
+	VEXTRACTF128 $1, Y0, X4
+	VADDPS X4, X0, X0
+	VEXTRACTF128 $1, Y1, X4
+	VADDPS X4, X1, X1
+	VEXTRACTF128 $1, Y2, X4
+	VADDPS X4, X2, X2
+	VEXTRACTF128 $1, Y3, X4
+	VADDPS X4, X3, X3
+	// (q0+q2, q1+q3) for rows 0,1 in X4 and rows 2,3 in X5.
+	VUNPCKLPD X1, X0, X4
+	VUNPCKHPD X1, X0, X5
+	VADDPS X5, X4, X4
+	VUNPCKLPD X3, X2, X5
+	VUNPCKHPD X3, X2, X6
+	VADDPS X6, X5, X5
+	// (q0+q2) + (q1+q3), one lane per row.
+	VSHUFPS $0x88, X5, X4, X0
+	VSHUFPS $0xDD, X5, X4, X1
+	VADDPS X1, X0, X0
+	VMOVUPS X0, (BX)
+	CMPQ R8, CX
+	JE   dotrows4next
+
+	// Scalar column tail, row by row, folded into the stored sums.
+	MOVQ SI, DX
+	XORQ R11, R11
+
+dotrows4tailrow:
+	VMOVSS (BX)(R11*4), X0
+	MOVQ R8, AX
+
+dotrows4tailcol:
+	VMOVSS (DX)(AX*4), X1
+	VMOVSS (DI)(AX*4), X2
+	VMULSS X2, X1, X1
+	VADDSS X1, X0, X0
+	INCQ AX
+	CMPQ AX, CX
+	JB   dotrows4tailcol
+	VMOVSS X0, (BX)(R11*4)
+	ADDQ R9, DX
+	INCQ R11
+	CMPQ R11, $4
+	JB   dotrows4tailrow
+
+dotrows4next:
+	LEAQ (SI)(R9*4), SI
+	ADDQ $16, BX
+	SUBQ $4, R10
+	JMP  dotrows4
+
+dotrows1:
+	TESTQ R10, R10
+	JZ   dotrowsdone
+	VXORPS Y0, Y0, Y0
+	XORQ AX, AX
+
+dotrows1group:
+	CMPQ AX, R8
+	JAE  dotrows1reduce
+	VMOVUPS (SI)(AX*4), Y1
+	VMOVUPS (DI)(AX*4), Y2
+	VMULPS Y2, Y1, Y1
+	VADDPS Y1, Y0, Y0
+	ADDQ $8, AX
+	JMP  dotrows1group
+
+dotrows1reduce:
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VPERMILPS $0xEE, X0, X1
+	VADDPS X1, X0, X0
+	VPERMILPS $0x55, X0, X1
+	VADDSS X1, X0, X0
+
+dotrows1tail:
+	CMPQ AX, CX
+	JAE  dotrows1store
+	VMOVSS (SI)(AX*4), X1
+	VMOVSS (DI)(AX*4), X2
+	VMULSS X2, X1, X1
+	VADDSS X1, X0, X0
+	INCQ AX
+	JMP  dotrows1tail
+
+dotrows1store:
+	VMOVSS X0, (BX)
+	ADDQ R9, SI
+	ADDQ $4, BX
+	DECQ R10
+	JMP  dotrows1
+
+dotrowsdone:
+	VZEROUPPER
+	RET
+
+// Lane masks for axpyRowsAVX2's column groups: eight all-ones words
+// followed by eight zero words, so the 32 bytes at offset 32-4r enable
+// exactly the first r lanes.
+GLOBL ·laneMasks(SB), RODATA|NOPTR, $64
+DATA ·laneMasks+0(SB)/8, $0xFFFFFFFFFFFFFFFF
+DATA ·laneMasks+8(SB)/8, $0xFFFFFFFFFFFFFFFF
+DATA ·laneMasks+16(SB)/8, $0xFFFFFFFFFFFFFFFF
+DATA ·laneMasks+24(SB)/8, $0xFFFFFFFFFFFFFFFF
+DATA ·laneMasks+32(SB)/8, $0
+DATA ·laneMasks+40(SB)/8, $0
+DATA ·laneMasks+48(SB)/8, $0
+DATA ·laneMasks+56(SB)/8, $0
+
+// LANEMASK loads into mask the lane mask of the 8-column group that
+// starts lo columns into the current tile: min(max(CX-lo, 0), 8) lanes
+// enabled. Expects R12 = 0, DX = 8, R11 = &laneMasks; clobbers AX.
+#define LANEMASK(lo, mask) \
+	MOVQ CX, AX; \
+	SUBQ $lo, AX; \
+	CMOVQLT R12, AX; \
+	CMPQ AX, DX; \
+	CMOVQGT DX, AX; \
+	NEGQ AX; \
+	VMOVDQU 32(R11)(AX*4), mask
+
+// func axpyRowsAVX2(w Vector, rows []float32, cut float32, acc Vector) int
+//
+// acc += Σ w[i]·row_i over a contiguous row-major block, ascending in
+// i, skipping (and counting) rows with w[i] < cut. Columns are tiled 32
+// wide: a tile's four 8-lane accumulators are loaded from acc once,
+// stay in registers across every row of the block, and are stored once
+// — axpyAVX2's per-row load and store of acc is what this kernel
+// removes. Each lane sees exactly axpyAVX2's sequence (one VMULPS, one
+// VADDPS per kept row, in row order), and a ±0 weight bypasses the row
+// like axpyAVX2Tier's fast-out, so the result is bit-identical to the
+// ascending axpyAVX2Tier sweep. Partial and absent column groups use
+// masked loads and stores (laneMasks), so any column count runs the
+// same loop; disabled lanes compute garbage that is never stored.
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-88
+	MOVQ w_base+0(FP), R8
+	MOVQ w_len+8(FP), R10      // rows
+	MOVQ rows_base+24(FP), SI  // row 0, at the tile's first column
+	VMOVSS cut+48(FP), X13
+	MOVQ acc_base+56(FP), DI   // acc, at the tile's first column
+	MOVQ acc_len+64(FP), CX    // columns left, this tile included
+	MOVQ CX, R9
+	SHLQ $2, R9                // row stride in bytes
+	LEAQ ·laneMasks(SB), R11
+
+axpyrowstile:
+	XORQ R12, R12
+	MOVQ $8, DX
+	LANEMASK(0, Y8)
+	LANEMASK(8, Y9)
+	LANEMASK(16, Y10)
+	LANEMASK(24, Y11)
+	VMASKMOVPS (DI), Y8, Y0
+	VMASKMOVPS 32(DI), Y9, Y1
+	VMASKMOVPS 64(DI), Y10, Y2
+	VMASKMOVPS 96(DI), Y11, Y3
+	MOVQ SI, BX                // current row
+	XORQ AX, AX                // row index; R12 = 0 counts skipped rows
+
+axpyrowsrow:
+	CMPQ AX, R10
+	JAE  axpyrowsstore
+	VBROADCASTSS (R8)(AX*4), Y12
+	VUCOMISS X13, X12
+	JP   axpyrowskeep          // unordered: a NaN is never below cut
+	JB   axpyrowsskip
+
+axpyrowskeep:
+	MOVL (R8)(AX*4), DX
+	TESTL $0x7FFFFFFF, DX
+	JZ   axpyrowsnext          // ±0 weight: the Axpy fast-out
+	VMASKMOVPS (BX), Y8, Y4
+	VMULPS Y12, Y4, Y4
+	VADDPS Y4, Y0, Y0
+	VMASKMOVPS 32(BX), Y9, Y5
+	VMULPS Y12, Y5, Y5
+	VADDPS Y5, Y1, Y1
+	VMASKMOVPS 64(BX), Y10, Y6
+	VMULPS Y12, Y6, Y6
+	VADDPS Y6, Y2, Y2
+	VMASKMOVPS 96(BX), Y11, Y7
+	VMULPS Y12, Y7, Y7
+	VADDPS Y7, Y3, Y3
+
+axpyrowsnext:
+	ADDQ R9, BX
+	INCQ AX
+	JMP  axpyrowsrow
+
+axpyrowsskip:
+	INCQ R12
+	JMP  axpyrowsnext
+
+axpyrowsstore:
+	VMASKMOVPS Y0, Y8, (DI)
+	VMASKMOVPS Y1, Y9, 32(DI)
+	VMASKMOVPS Y2, Y10, 64(DI)
+	VMASKMOVPS Y3, Y11, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JG   axpyrowstile          // every tile counts the same skipped rows
+	MOVQ R12, ret+80(FP)
+	VZEROUPPER
+	RET
+
 // func scaleAVX2(v Vector, a float32)
 TEXT ·scaleAVX2(SB), NOSPLIT, $0-28
 	MOVQ v_base+0(FP), SI

@@ -49,6 +49,29 @@ func AddScalar(v, w Vector) {
 	}
 }
 
+// DotRowsScalar is the reference for DotRows: one DotScalar per row of
+// the row-major block.
+func DotRowsScalar(rows []float32, x, y Vector) {
+	cols := len(x)
+	for i := range y {
+		y[i] = DotScalar(rows[i*cols:(i+1)*cols], x)
+	}
+}
+
+// AxpyRowsScalar is the reference for AxpyRows: the ascending
+// AxpyScalar sweep over the rows whose weight is not below cut.
+func AxpyRowsScalar(w Vector, rows []float32, cut float32, acc Vector) int {
+	cols, skipped := len(acc), 0
+	for i, a := range w {
+		if a < cut {
+			skipped++
+			continue
+		}
+		AxpyScalar(a, rows[i*cols:(i+1)*cols], acc)
+	}
+	return skipped
+}
+
 // ExpIntoScalar is the reference for ExpInto: float64 math.Exp per
 // element, float64 accumulation.
 func ExpIntoScalar(dst, src Vector, shift float32) float32 {

@@ -270,6 +270,65 @@ func Axpy4(a0, a1, a2, a3 float32, x0, x1, x2, x3, y Vector) {
 	}
 }
 
+// DotRows computes y[i] = row_i · x for every row of the contiguous
+// row-major block rows (len(y) rows of len(x) columns) in one
+// dispatched call. Each y[i] is bit-identical to the active tier's
+// Dot(row_i, x); the block form only removes the per-row call, length
+// check and vector-state transition, and lets the avx2 tier share each
+// load of x across four rows.
+//
+//mnnfast:hotpath
+func DotRows(rows []float32, x, y Vector) {
+	if len(rows) != len(y)*len(x) {
+		panic(fmt.Sprintf("tensor: DotRows shape mismatch rows=%d x=%d y=%d", len(rows), len(x), len(y)))
+	}
+	dotRowsImpl(rows, x, y)
+}
+
+// dotRowsGo is the portable DotRows tier. Shapes are validated by the
+// caller.
+//
+//mnnfast:hotpath
+func dotRowsGo(rows []float32, x, y Vector) {
+	cols := len(x)
+	for i := range y {
+		y[i] = dotGo(rows[i*cols:(i+1)*cols], x)
+	}
+}
+
+// AxpyRows accumulates acc += Σ w[i]·row_i over the contiguous
+// row-major block rows (len(w) rows of len(acc) columns) in ascending
+// row order, bypassing every row whose weight is below cut — the
+// zero-skipping test of the weighted sum — and returning how many it
+// bypassed. The result is bit-identical to sweeping the active tier's
+// Axpy over the kept rows; the avx2 tier holds the accumulator in
+// registers across the whole block instead of loading and storing it
+// once per row. A NaN weight is never below cut.
+//
+//mnnfast:hotpath
+func AxpyRows(w Vector, rows []float32, cut float32, acc Vector) (skipped int) {
+	if len(rows) != len(w)*len(acc) {
+		panic(fmt.Sprintf("tensor: AxpyRows shape mismatch rows=%d w=%d acc=%d", len(rows), len(w), len(acc)))
+	}
+	return axpyRowsImpl(w, rows, cut, acc)
+}
+
+// axpyRowsGo is the portable AxpyRows tier. Shapes are validated by
+// the caller.
+//
+//mnnfast:hotpath
+func axpyRowsGo(w Vector, rows []float32, cut float32, acc Vector) int {
+	cols, skipped := len(acc), 0
+	for i, a := range w {
+		if a < cut {
+			skipped++
+			continue
+		}
+		axpyGo(a, rows[i*cols:(i+1)*cols], acc)
+	}
+	return skipped
+}
+
 // Matrix is a dense row-major float32 matrix.
 type Matrix struct {
 	Rows, Cols int
