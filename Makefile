@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-notavx2 test-equiv race lint lint-sarif lint-update-baseline vet fmt bench fuzz-smoke trace-demo clean
+.PHONY: all build test test-notavx2 test-equiv race lint lint-sarif lint-update-baseline vet fmt bench bench-check fuzz-smoke trace-demo clean
 
 all: build lint test
 
@@ -15,7 +15,8 @@ test:
 
 # Fallback-tier coverage: downgrade the CPUID probe so kernel dispatch
 # resolves to the portable go tier (see internal/tensor/dispatch.go),
-# for the kernels, both attention stacks, and the served path on top.
+# for the kernels, core's engines, memnn's inference pass, and the
+# served path on top.
 test-notavx2:
 	GODEBUG=cpu.avx2=off,cpu.avx=off $(GO) test ./internal/tensor/... ./internal/core/... ./internal/memnn/... ./internal/equivtest/... ./internal/server/...
 
@@ -56,6 +57,30 @@ fmt:
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem ./...
+
+# The repo benchmark (bench/, BENCHMARK.json) on this tree against a
+# parent commit: check BASE (default HEAD~1) out into a git worktree
+# under .bench_build/, run bench/run.sh there and here — one after the
+# other, each building from its own source — and compare the two result
+# files with the benchmark's own -compare. Fails on a `worse` row (and
+# on a failed run); `unresolved` rows (spread wider than the metric's
+# bound) are printed and are not a pass to quote. BENCH_ARGS reaches
+# both runs (e.g. "-seed 2", or "" to add the traced per-layer pass);
+# it must leave all five workloads on, since only a full run writes a
+# result file.
+BASE ?= HEAD~1
+BENCH_ARGS ?= -trace 0
+bench-check:
+	@wt=.bench_build/parent; out=$$PWD/.bench_build/check; \
+	mkdir -p .bench_build; rm -rf $$out; \
+	git worktree remove --force $$wt 2>/dev/null; \
+	git worktree add --detach $$wt $(BASE) >/dev/null || exit 1; \
+	trap "git worktree remove --force $$wt" EXIT; \
+	(cd $$wt && bash bench/run.sh $(BENCH_ARGS) -out $$out/parent) || exit 1; \
+	bash bench/run.sh $(BENCH_ARGS) -out $$out/change || exit 1; \
+	.bench_build/mnnfast-bench -compare $$out/parent/result_seed*.json $$out/change/result_seed*.json; rc=$$?; \
+	if [ $$rc -eq 2 ]; then echo "bench-check: no worse row, but unresolved ones: rerun, or say so beside any number you quote"; rc=0; fi; \
+	exit $$rc
 
 # End-to-end tracing walkthrough: start a batched, parallel server
 # with the flight recorder keeping every trace, drive it with the load

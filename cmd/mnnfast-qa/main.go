@@ -75,7 +75,7 @@ func main() {
 				fmt.Println("sorry:", err)
 				continue
 			}
-			ans := model.PredictSkip(ex, float32(*threshold))
+			ans := model.PredictGated(ex, float32(*threshold), memnn.ExitPolicy{}, new(memnn.Forward), nil, nil)
 			fmt.Println(corpus.AnswerWord(ans))
 			continue
 		}

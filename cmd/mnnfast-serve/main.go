@@ -48,6 +48,18 @@ import (
 	"mnnfast/internal/server"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers and readTimeout to finish the body — generous, since a
+// full-length story is megabytes (the server caps the size itself, see
+// server.decodeBody) — and an idle keep-alive connection is closed after
+// idleTimeout. Constants, not flags: they bound stalled clients, not a
+// workload.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		modelPath   = flag.String("model", "", "model file from mnnfast-train (default: train one now)")
@@ -164,7 +176,18 @@ func main() {
 	// answer batches before exiting.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: root}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           root,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		// No WriteTimeout: it would also bound the handler, and the first
+		// answer after a large story change embeds the story and, in
+		// topk mode, builds its index before replying — seconds at
+		// 10^5..10^6 sentences. The read side is where a client can
+		// stall a connection, and that is bounded above.
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	select {

@@ -59,11 +59,11 @@ func TestOracleModelVariants(t *testing.T) {
 				ex.Sentences[i] = []int{1 + rng.Intn(29), 0, 1 + rng.Intn(29), 1 + rng.Intn(29)}
 			}
 			want := Oracle(model, ex)
-			var lazy, dense memnn.Forward
+			var lazy memnn.Forward
 			if msg := oracleMismatch(model.ApplyGated(ex, 0, memnn.ExitPolicy{}, &lazy, nil, nil).Logits, want); msg != "" {
 				t.Errorf("tier %s, %+v, lazy-softmax hop: %s", tier, cfg, msg)
 			}
-			if msg := oracleMismatch(model.ApplyInto(ex, 0, &dense).Logits, want); msg != "" {
+			if msg := oracleMismatch(model.Apply(ex, 0).Logits, want); msg != "" {
 				t.Errorf("tier %s, %+v, dense trainer pass: %s", tier, cfg, msg)
 			}
 		}

@@ -10,14 +10,17 @@
 // other packages can call from their own tests (Run takes a testing.TB),
 // and pins the determinism contracts the repo's optimizations promise.
 //
-// Bit-identical, per tier — configurations of one engine, which run the
-// same kernels on the same operands in the same order:
+// Bit-identical, per tier — configurations of the one inference pass
+// (memnn infer), which run the same kernels on the same operands in the
+// same order:
 //
-//   - batched ≡ unbatched (memnn/batch.go)
+//   - batched ≡ unbatched: the single-question entry points are that
+//     pass over a batch of one, so this is independence from batch
+//     composition — a question answers the same alone and in any batch
+//     (memnn/batch.go)
 //   - parallel ≡ serial at any worker count (internal/sched)
-//   - gate-off ≡ pre-gate code path, and a gate that cannot fire
-//     (threshold above every reachable confidence) ≡ gate-off
-//     (memnn/exit.go)
+//   - a gate that cannot fire (threshold above every reachable
+//     confidence) ≡ gate-off (memnn/exit.go)
 //   - topk-enabled-but-unindexed ≡ exact, and narrow-probe topk
 //     bit-identical across every engine configuration against its own
 //     serial-unbatched baseline (internal/sparse, memnn/topk.go)
@@ -28,7 +31,7 @@
 //   - the inference hop (memnn attend: column chunks, lazy softmax),
 //     at every kernel tier — so tier against tier is within twice the
 //     bound
-//   - the trainer's dense pass (ApplyInto: full softmax, then the
+//   - the trainer's dense pass (Apply: full softmax, then the
 //     weighted sum)
 //   - topk with every list probed and no cut (softmax over the gathered
 //     candidates, normalised before the weighted sum)
@@ -206,7 +209,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 	var f memnn.Forward
 	base := make([][]float32, len(fx.exs))
 	for i, ex := range fx.exs {
-		fw := model.ApplyInstrumented(ex, opt.Skip, &f, fx.stories[i], nil)
+		fw := model.ApplyGated(ex, opt.Skip, memnn.ExitPolicy{}, &f, fx.stories[i], nil)
 		base[i] = append([]float32(nil), fw.Logits...)
 	}
 
@@ -223,8 +226,8 @@ func runTier(t testing.TB, tier string, opt Options) {
 		}
 	}
 	for i, ex := range fx.exs {
-		checkOracle("lazy-softmax hop", i, model.ApplyInstrumented(ex, 0, &f, fx.stories[i], nil).Logits)
-		checkOracle("dense trainer pass", i, model.ApplyInto(ex, 0, &f).Logits)
+		checkOracle("lazy-softmax hop", i, model.ApplyGated(ex, 0, memnn.ExitPolicy{}, &f, fx.stories[i], nil).Logits)
+		checkOracle("dense trainer pass", i, model.Apply(ex, 0).Logits)
 	}
 
 	checkAgainst := func(baseline [][]float32, engine string, q int, got tensor.Vector) {
@@ -266,7 +269,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 		t.Helper()
 		var bf memnn.BatchForward
 		out := make([]int, len(fx.exs))
-		model.PredictBatchInstrumented(fx.exs, opt.Skip, policy, fx.stories, &bf, nil, out)
+		model.PredictBatch(fx.exs, opt.Skip, policy, fx.stories, &bf, nil, out)
 		for q := range fx.exs {
 			if policy.Enabled() {
 				if got := bf.ExitHop(q); got != hops {
@@ -308,7 +311,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 	//     THAT baseline bit for bit.
 	model.SetTopK(memnn.TopKConfig{Enabled: true, K: 0, NProbe: 1 << 20, MinRows: 1})
 	for i, ex := range fx.exs {
-		fw := model.ApplyInstrumented(ex, opt.Skip, &f, fx.stories[i], nil)
+		fw := model.ApplyGated(ex, opt.Skip, memnn.ExitPolicy{}, &f, fx.stories[i], nil)
 		check("topk unindexed fallback", i, fw.Logits)
 	}
 	built := make(map[*memnn.EmbeddedStory]bool, len(fx.stories))
@@ -322,7 +325,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 		}
 	}
 	for i, ex := range fx.exs {
-		checkOracle("topk full-probe", i, model.ApplyInstrumented(ex, 0, &f, fx.stories[i], nil).Logits)
+		checkOracle("topk full-probe", i, model.ApplyGated(ex, 0, memnn.ExitPolicy{}, &f, fx.stories[i], nil).Logits)
 	}
 
 	// Narrow probe: K/NProbe are query-time knobs, so the indices built
@@ -330,7 +333,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 	model.SetTopK(memnn.TopKConfig{Enabled: true, K: 4, NProbe: 1, MinRows: 1})
 	topkBase := make([][]float32, len(fx.exs))
 	for i, ex := range fx.exs {
-		fw := model.ApplyInstrumented(ex, opt.Skip, &f, fx.stories[i], nil)
+		fw := model.ApplyGated(ex, opt.Skip, memnn.ExitPolicy{}, &f, fx.stories[i], nil)
 		topkBase[i] = append([]float32(nil), fw.Logits...)
 	}
 	for _, metric := range exitMetrics {

@@ -76,7 +76,7 @@ type Func struct {
 	// may acquire, directly or through same-package callees.
 	Acquires []string `json:"acquires,omitempty"`
 	// Retains lists the lock classes still held when the function
-	// returns (a lockForBatch-style acquire-and-hand-to-caller shape);
+	// returns (a server.acquire-style lock-and-hand-to-caller shape);
 	// callers inherit them into their own held sets.
 	Retains []string `json:"retains,omitempty"`
 	// Violations are the latent hot-path violations reachable from this

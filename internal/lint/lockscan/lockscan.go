@@ -21,7 +21,7 @@
 // after the block. Two shapes beyond direct calls are modeled:
 //
 //   - retention: a function whose last event on a class is a lock still
-//     holds it when it returns (the lockForBatch shape — acquire on
+//     holds it when it returns (the server.acquire shape — acquire on
 //     behalf of the caller). Call sites inherit retained classes into
 //     the caller's held set, to a fixpoint across same-package
 //     functions and through imported Retains facts.

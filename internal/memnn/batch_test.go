@@ -98,11 +98,11 @@ func TestPredictBatchEquivalence(t *testing.T) {
 		c := randBatchCase(t, rng, batch)
 
 		out := make([]int, batch)
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out)
+		c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out)
 
 		var f Forward
 		for q := range c.exs {
-			want := c.model.ApplyInstrumented(c.exs[q], c.th, &f, c.stories[q], nil)
+			want := c.model.ApplyGated(c.exs[q], c.th, ExitPolicy{}, &f, c.stories[q], nil)
 			got := bf.Logits(q)
 			if len(got) != len(want.Logits) {
 				t.Fatalf("case %d q %d: logits length %d != %d", cases, q, len(got), len(want.Logits))
@@ -123,23 +123,56 @@ func TestPredictBatchEquivalence(t *testing.T) {
 	t.Logf("verified %d questions across %d random batches bit-identical", questions, cases)
 }
 
-// TestPredictBatchMatchesUncachedPath pins the other half of the chain:
-// the cached-embedding path (EmbedStoryInto + ApplyInstrumented) is
-// itself bit-identical to the same pass embedding per call, so batched
-// answers equal the from-scratch single-Infer path too.
-func TestPredictBatchMatchesUncachedPath(t *testing.T) {
+// TestSelfEmbeddingMatchesCachedStory pins the other half of the chain:
+// a pass given no cached story embeds it — and, under top-k, indexes
+// it — into the Forward's own EmbeddedStory, and is then bit-identical
+// to the same question over a story the caller built beforehand: the
+// logits, the hop an armed gate exits at, and the rows a top-k probe
+// scores and keeps. So batched answers equal the from-scratch
+// single-question pass too.
+func TestSelfEmbeddingMatchesCachedStory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 50; iter++ {
-		c := randBatchCase(t, rng, 1)
+	policies := []ExitPolicy{
+		{},
+		{Metric: ExitMargin, Threshold: 0.2},
+		{Metric: ExitMaxProb, Threshold: 0.5, Fallback: 0.2},
+		{Metric: ExitAttnMax, Threshold: 0.3},
+	}
+	early, probed := 0, int64(0)
+	for iter := 0; iter < 120; iter++ {
+		var c batchCase
+		if iter%2 == 0 {
+			c = randBatchCase(t, rng, 1)
+		} else {
+			c = batchCase(randTopKCase(t, rng, 1, TopKConfig{
+				Enabled: true, MinRows: 1, K: 1 + rng.Intn(12), NProbe: 1 + rng.Intn(4),
+			}))
+		}
+		policy := policies[iter/2%len(policies)]
 		var f, f2 Forward
-		cached := c.model.ApplyInstrumented(c.exs[0], c.th, &f, c.stories[0], nil)
-		plain := c.model.ApplyInstrumented(c.exs[0], c.th, &f2, nil, nil)
-		for i := range plain.Logits {
-			if math.Float32bits(cached.Logits[i]) != math.Float32bits(plain.Logits[i]) {
-				t.Fatalf("iter %d: cached logit %d = %x, plain %x", iter, i,
-					math.Float32bits(cached.Logits[i]), math.Float32bits(plain.Logits[i]))
+		var insCached, insOwn Instrumentation
+		cached := c.model.ApplyGated(c.exs[0], c.th, policy, &f, c.stories[0], &insCached)
+		own := c.model.ApplyGated(c.exs[0], c.th, policy, &f2, nil, &insOwn)
+		if own.ExitHop != cached.ExitHop {
+			t.Fatalf("iter %d policy %+v: self-embedding pass exits after hop %d, cached %d", iter, policy, own.ExitHop, cached.ExitHop)
+		}
+		for i := range cached.Logits {
+			if math.Float32bits(cached.Logits[i]) != math.Float32bits(own.Logits[i]) {
+				t.Fatalf("iter %d policy %+v: cached logit %d = %x, self-embedded %x", iter, policy, i,
+					math.Float32bits(cached.Logits[i]), math.Float32bits(own.Logits[i]))
 			}
 		}
+		if insOwn.ProbedRows != insCached.ProbedRows || insOwn.CandRows != insCached.CandRows || insOwn.SkippedRows != insCached.SkippedRows {
+			t.Fatalf("iter %d: self-embedding pass probed/kept/skipped %d/%d/%d rows, cached %d/%d/%d", iter,
+				insOwn.ProbedRows, insOwn.CandRows, insOwn.SkippedRows, insCached.ProbedRows, insCached.CandRows, insCached.SkippedRows)
+		}
+		if own.ExitHop < c.model.Cfg.Hops {
+			early++
+		}
+		probed += insOwn.ProbedRows
+	}
+	if early == 0 || probed == 0 {
+		t.Errorf("vacuous: %d early exits, %d rows probed through an own index", early, probed)
 	}
 }
 
@@ -151,12 +184,12 @@ func TestPredictBatchInstrumentationCounts(t *testing.T) {
 	var bf BatchForward
 	var ins Instrumentation
 	out := make([]int, len(c.exs))
-	c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out)
+	c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out)
 
 	var want Instrumentation
 	var f Forward
 	for q := range c.exs {
-		c.model.ApplyInstrumented(c.exs[q], c.th, &f, c.stories[q], &want)
+		c.model.ApplyGated(c.exs[q], c.th, ExitPolicy{}, &f, c.stories[q], &want)
 	}
 	if ins.TotalRows != want.TotalRows || ins.SkippedRows != want.SkippedRows {
 		t.Errorf("batch rows skipped/total = %d/%d, single-path %d/%d",
@@ -184,18 +217,18 @@ func TestPredictBatchValidation(t *testing.T) {
 		fn()
 	}
 	mustPanic("length mismatch", func() {
-		c.model.PredictBatchInto(c.exs, 0, c.stories[:1], &bf, out)
+		c.model.PredictBatch(c.exs, 0, ExitPolicy{}, c.stories[:1], &bf, nil, out)
 	})
 	mustPanic("nil story", func() {
-		c.model.PredictBatchInto(c.exs, 0, []*EmbeddedStory{c.stories[0], nil}, &bf, out)
+		c.model.PredictBatch(c.exs, 0, ExitPolicy{}, []*EmbeddedStory{c.stories[0], nil}, &bf, nil, out)
 	})
 	mustPanic("NS mismatch", func() {
 		bad := &EmbeddedStory{NS: c.stories[1].NS + 1, MemIn: c.stories[1].MemIn, MemOut: c.stories[1].MemOut}
-		c.model.PredictBatchInto(c.exs, 0, []*EmbeddedStory{c.stories[0], bad}, &bf, out)
+		c.model.PredictBatch(c.exs, 0, ExitPolicy{}, []*EmbeddedStory{c.stories[0], bad}, &bf, nil, out)
 	})
 
 	// Empty batch is a no-op, not a panic.
-	c.model.PredictBatchInto(nil, 0, nil, &bf, nil)
+	c.model.PredictBatch(nil, 0, ExitPolicy{}, nil, &bf, nil, nil)
 }
 
 // TestPredictBatchAllocs: at steady state the batched pass allocates
@@ -209,19 +242,19 @@ func TestPredictBatchAllocs(t *testing.T) {
 	c := randBatchCase(t, rng, 8)
 	var bf BatchForward
 	out := make([]int, len(c.exs))
-	c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out) // warm buffers
+	c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out) // warm buffers
 	allocs := testing.AllocsPerRun(50, func() {
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out)
+		c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out)
 	})
 	if allocs != 0 {
 		t.Errorf("batched predict allocates %v per batch, want 0", allocs)
 	}
 }
 
-// TestPredictBatchInstrumentedAllocs: turning instrumentation on must
+// TestPredictBatchTimedAllocs: turning instrumentation on must
 // not cost allocations either — the stage timers write into the
 // caller's accumulators, nothing else.
-func TestPredictBatchInstrumentedAllocs(t *testing.T) {
+func TestPredictBatchTimedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -230,10 +263,10 @@ func TestPredictBatchInstrumentedAllocs(t *testing.T) {
 	var bf BatchForward
 	var ins Instrumentation
 	out := make([]int, len(c.exs))
-	c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out) // warm buffers
+	c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out) // warm buffers
 	allocs := testing.AllocsPerRun(50, func() {
 		ins.Reset()
-		c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out)
+		c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out)
 	})
 	if allocs != 0 {
 		t.Errorf("instrumented batched predict allocates %v per batch, want 0", allocs)
@@ -254,14 +287,14 @@ func TestPredictBatchParallelEquivalence(t *testing.T) {
 
 		var serial BatchForward
 		out := make([]int, batch)
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &serial, out)
+		c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &serial, nil, out)
 
 		for _, p := range []int{1, 2, 4, 8} {
 			pool := tensor.NewPool(p)
 			c.model.SetParallel(pool)
 			var bf BatchForward
 			pout := make([]int, batch)
-			c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, pout)
+			c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, pout)
 			for q := 0; q < batch; q++ {
 				if pout[q] != out[q] {
 					t.Fatalf("iter %d P=%d q %d: answer %d, serial %d", iter, p, q, pout[q], out[q])
@@ -292,9 +325,9 @@ func TestPredictBatchParallelAllocs(t *testing.T) {
 	c.model.SetParallel(pool)
 	var bf BatchForward
 	out := make([]int, len(c.exs))
-	c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out) // warm buffers
+	c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out) // warm buffers
 	allocs := testing.AllocsPerRun(50, func() {
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out)
+		c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out)
 	})
 	if allocs != 0 {
 		t.Errorf("parallel batched predict allocates %v per batch, want 0", allocs)

@@ -14,8 +14,9 @@ func (m *Model) Accuracy(examples []Example, threshold float32) float64 {
 		return 0
 	}
 	correct := 0
+	var f Forward
 	for _, ex := range examples {
-		if m.PredictSkip(ex, threshold) == ex.Answer {
+		if m.PredictGated(ex, threshold, ExitPolicy{}, &f, nil, nil) == ex.Answer {
 			correct++
 		}
 	}
@@ -39,6 +40,7 @@ type SkipStats struct {
 func (m *Model) EvaluateSkip(examples []Example, threshold float32) SkipStats {
 	s := SkipStats{Threshold: threshold}
 	baseCorrect, skipCorrect := 0, 0
+	var skip Forward
 	for _, ex := range examples {
 		f := m.Apply(ex, 0)
 		if f.Logits.ArgMax() == ex.Answer {
@@ -52,7 +54,7 @@ func (m *Model) EvaluateSkip(examples []Example, threshold float32) SkipStats {
 				}
 			}
 		}
-		if m.PredictSkip(ex, threshold) == ex.Answer {
+		if m.PredictGated(ex, threshold, ExitPolicy{}, &skip, nil, nil) == ex.Answer {
 			skipCorrect++
 		}
 	}

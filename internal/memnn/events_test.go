@@ -20,7 +20,7 @@ func TestTracedPassBitIdentical(t *testing.T) {
 		// Untraced batched pass.
 		var bfPlain BatchForward
 		plain := make([]int, n)
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bfPlain, plain)
+		c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bfPlain, nil, plain)
 
 		// Traced batched pass.
 		var bfTraced BatchForward
@@ -28,7 +28,7 @@ func TestTracedPassBitIdentical(t *testing.T) {
 		var ev trace.Events
 		ins.Ev = &ev
 		traced := make([]int, n)
-		c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bfTraced, &ins, traced)
+		c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bfTraced, &ins, traced)
 
 		for q := 0; q < n; q++ {
 			if plain[q] != traced[q] {
@@ -55,8 +55,8 @@ func TestTracedPassBitIdentical(t *testing.T) {
 		var ins1 Instrumentation
 		var ev1 trace.Events
 		ins1.Ev = &ev1
-		a := c.model.PredictInstrumented(c.exs[0], c.th, &f1, c.stories[0], nil)
-		b := c.model.PredictInstrumented(c.exs[0], c.th, &f2, c.stories[0], &ins1)
+		a := c.model.PredictGated(c.exs[0], c.th, ExitPolicy{}, &f1, c.stories[0], nil)
+		b := c.model.PredictGated(c.exs[0], c.th, ExitPolicy{}, &f2, c.stories[0], &ins1)
 		if a != b {
 			t.Fatalf("trial %d: single-path answer %d traced vs %d untraced", trial, b, a)
 		}
@@ -77,7 +77,7 @@ func TestBatchEventShape(t *testing.T) {
 	var ev trace.Events
 	ins.Ev = &ev
 	out := make([]int, len(c.exs))
-	c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out)
+	c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out)
 
 	// Replay into a trace and walk the export.
 	rec := trace.NewRecorder(trace.Options{Capacity: 1, SpanCap: trace.MaxEvents + 4, SampleEvery: 1})

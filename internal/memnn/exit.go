@@ -168,45 +168,6 @@ func answerConfidence(metric ExitMetric, probs tensor.Vector) float32 {
 	return p1 - p2
 }
 
-// gateConfidence evaluates the policy metric after hop k (state
-// f.U[k+1], attention peak f.attnPeak(k)). For the answer metrics it
-// computes the exit logits W·u into f.Logits — one tensor.Dot per
-// answer row, the exact operation of the final output projection — and
-// the softmax into the gate scratch. ExitAttnMax reads the attention peak without
-// touching W. Nothing the gate writes is read by later hops.
-//
-//mnnfast:hotpath
-func (m *Model) gateConfidence(metric ExitMetric, f *Forward, k int) float32 {
-	if metric == ExitAttnMax {
-		return f.attnPeak(k)
-	}
-	f.Logits = growVec(f.Logits, m.Cfg.Answers)
-	tensor.MatVec(nil, m.W, f.U[k+1], f.Logits)
-	f.gateP = growVec(f.gateP, m.Cfg.Answers)
-	copy(f.gateP, f.Logits)
-	tensor.Softmax(f.gateP)
-	return answerConfidence(metric, f.gateP)
-}
-
-// ApplyGated is ApplyInstrumented with a confidence gate: after each
-// eligible hop the policy is evaluated, and a firing gate skips the
-// remaining hops, leaving f.Logits = W·u of the exit state and
-// f.ExitHop = the number of hops actually run. A zero policy is the
-// plain instrumented pass, bit for bit.
-//
-//mnnfast:hotpath
-func (m *Model) ApplyGated(ex Example, skipThreshold float32, policy ExitPolicy, f *Forward, es *EmbeddedStory, ins *Instrumentation) *Forward {
-	return m.applyInto(ex, skipThreshold, f, es, ins, policy, false)
-}
-
-// PredictGated returns the argmax answer class of the gated pass; read
-// f.ExitHop for the hops actually run.
-//
-//mnnfast:hotpath
-func (m *Model) PredictGated(ex Example, skipThreshold float32, policy ExitPolicy, f *Forward, es *EmbeddedStory, ins *Instrumentation) int {
-	return m.applyInto(ex, skipThreshold, f, es, ins, policy, false).Logits.ArgMax()
-}
-
 // ExitStats summarizes a gated evaluation sweep at one policy: how
 // often the gate fired per hop, the mean hops executed, and the answer
 // agreement with the full (gate-off) path — the threshold-vs-accuracy
@@ -238,8 +199,8 @@ func (m *Model) EvaluateExit(examples []Example, skipThreshold float32, policy E
 	var f, full Forward
 	agree, hops := 0, 0
 	for _, ex := range examples {
-		gated := m.applyInto(ex, skipThreshold, &f, nil, nil, policy, false).Logits.ArgMax()
-		want := m.PredictSkipInto(ex, skipThreshold, &full)
+		gated := m.PredictGated(ex, skipThreshold, policy, &f, nil, nil)
+		want := m.PredictGated(ex, skipThreshold, ExitPolicy{}, &full, nil, nil)
 		if gated == want {
 			agree++
 		}

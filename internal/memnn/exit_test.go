@@ -101,22 +101,28 @@ func TestExitThresholdMonotonicity(t *testing.T) {
 	}
 }
 
-// TestExitZeroPolicyBitIdentical: the zero policy must be the ungated
-// inference pass, bit for bit — ApplyGated with ExitPolicy{} and
-// ApplyInstrumented see the same code path.
-func TestExitZeroPolicyBitIdentical(t *testing.T) {
+// TestExitInactivePolicyBitIdentical: a policy that cannot act — a
+// non-positive threshold, or no eligible hop before the last — must be
+// the zero policy's ungated pass, bit for bit.
+func TestExitInactivePolicyBitIdentical(t *testing.T) {
 	m, c := exitFixture(t)
 	var f, g Forward
-	for i, ex := range c.Test {
-		want := m.ApplyInstrumented(ex, 0.01, &f, nil, nil)
-		got := m.ApplyGated(ex, 0.01, ExitPolicy{}, &g, nil, nil)
-		if got.ExitHop != m.Cfg.Hops {
-			t.Fatalf("q %d: zero policy exit hop %d, want %d", i, got.ExitHop, m.Cfg.Hops)
-		}
-		for j := range want.Logits {
-			if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
-				t.Fatalf("q %d logit %d: gated-zero %x != ungated %x", i, j,
-					math.Float32bits(got.Logits[j]), math.Float32bits(want.Logits[j]))
+	for _, policy := range []ExitPolicy{
+		{Metric: ExitMaxProb, Threshold: 0, MinHops: 1, Fallback: 0.5},
+		{Metric: ExitAttnMax, Threshold: -1},
+		{Metric: ExitMargin, Threshold: 0.01, MinHops: m.Cfg.Hops},
+	} {
+		for i, ex := range c.Test {
+			want := m.ApplyGated(ex, 0.01, ExitPolicy{}, &f, nil, nil)
+			got := m.ApplyGated(ex, 0.01, policy, &g, nil, nil)
+			if got.ExitHop != m.Cfg.Hops {
+				t.Fatalf("q %d: policy %+v exit hop %d, want %d", i, policy, got.ExitHop, m.Cfg.Hops)
+			}
+			for j := range want.Logits {
+				if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
+					t.Fatalf("q %d logit %d: policy %+v %x != ungated %x", i, j, policy,
+						math.Float32bits(got.Logits[j]), math.Float32bits(want.Logits[j]))
+				}
 			}
 		}
 	}
@@ -144,7 +150,7 @@ func TestExitFallbackCommits(t *testing.T) {
 		if got.ExitHop != m.Cfg.Hops {
 			continue // exited at MinHops; covered by the shedding tests
 		}
-		want := m.ApplyInstrumented(ex, 0, &f, nil, nil)
+		want := m.ApplyGated(ex, 0, ExitPolicy{}, &f, nil, nil)
 		for j := range want.Logits {
 			if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
 				t.Fatalf("q %d logit %d: committed %x != ungated %x", i, j,
@@ -192,7 +198,7 @@ func TestExitBatchShedBitIdentical(t *testing.T) {
 				}
 				var bf BatchForward
 				out := make([]int, len(batch))
-				m.PredictBatchInstrumented(batch, 0.01, policy, stories, &bf, nil, out)
+				m.PredictBatch(batch, 0.01, policy, stories, &bf, nil, out)
 
 				sawShed, sawFull := false, false
 				var f Forward
@@ -242,9 +248,9 @@ func TestExitBatchGatedAllocs(t *testing.T) {
 	policy := ExitPolicy{Metric: ExitMargin, Threshold: 0.6, MinHops: 1}
 	var bf BatchForward
 	out := make([]int, len(exs))
-	m.PredictBatchInstrumented(exs, 0.01, policy, stories, &bf, nil, out) // warm buffers
+	m.PredictBatch(exs, 0.01, policy, stories, &bf, nil, out) // warm buffers
 	allocs := testing.AllocsPerRun(50, func() {
-		m.PredictBatchInstrumented(exs, 0.01, policy, stories, &bf, nil, out)
+		m.PredictBatch(exs, 0.01, policy, stories, &bf, nil, out)
 	})
 	if allocs != 0 {
 		t.Errorf("gated batched predict allocates %v per batch, want 0", allocs)
@@ -338,7 +344,7 @@ func FuzzExitPolicy(f *testing.F) {
 				t.Fatalf("exit hop %d with unfireable threshold %v", got.ExitHop, th)
 			}
 			var f Forward
-			want := m.ApplyInstrumented(ex, 0.01, &f, nil, nil)
+			want := m.ApplyGated(ex, 0.01, ExitPolicy{}, &f, nil, nil)
 			for j := range want.Logits {
 				if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
 					t.Fatalf("logit %d: gated %x != full %x under unfireable policy %+v", j,

@@ -81,7 +81,7 @@ func attend(in, out *tensor.Matrix, k int, th float32, fs []*Forward) (skipped i
 // f.P[k]: p = softmax(u·M_INᵀ) — or the raw inner products during
 // linear-start training — then o = Σ pᵢ·m_iᴼᵁᵀ over the rows with
 // pᵢ >= th. The trainer's backward pass and the evaluation reports read
-// P, so Apply and ApplyInto run this; inference runs attend.
+// P, so Apply runs this; inference runs attend.
 //
 //mnnfast:hotpath
 func (m *Model) attendDense(in, out *tensor.Matrix, k int, th float32, f *Forward) (skipped int) {

@@ -42,21 +42,29 @@ func TestAttendMatchesDenseHop(t *testing.T) {
 	for _, ns := range []int{1, hopChunk - 1, hopChunk, hopChunk + 1, 5*hopChunk + 17} {
 		for _, d := range []int{8, 20, 24} {
 			m, ex, es := longStoryCase(t, ns, d, 2, 1.0)
-			var lazy, dense Forward
-			got := m.ApplyInstrumented(ex, 0, &lazy, es, nil)
-			want := m.ApplyInto(ex, 0, &dense)
-			assertReordered(t, "ns="+strconv.Itoa(ns)+" d="+strconv.Itoa(d), got.Logits, want.Logits)
+			var lazy Forward
+			got := m.ApplyGated(ex, 0, ExitPolicy{}, &lazy, es, nil)
+			dense := m.Apply(ex, 0)
+			assertReordered(t, "ns="+strconv.Itoa(ns)+" d="+strconv.Itoa(d), got.Logits, dense.Logits)
 			if peak := dense.P[1].Max(); !(math.Abs(float64(lazy.attnPeak(1)-peak)) <= reorderTol) {
 				t.Errorf("ns=%d d=%d: attention peak %v, dense softmax max %v", ns, d, lazy.attnPeak(1), peak)
 			}
 
 			const th = 1e-3
-			var lazyIns, denseIns Instrumentation
-			m.ApplyInstrumented(ex, th, &lazy, es, &lazyIns)
-			m.applyInto(ex, th, &dense, es, &denseIns, ExitPolicy{}, true)
-			if lazyIns.TotalRows != denseIns.TotalRows || lazyIns.SkippedRows > denseIns.SkippedRows {
+			var lazyIns Instrumentation
+			m.ApplyGated(ex, th, ExitPolicy{}, &lazy, es, &lazyIns)
+			var denseRows, denseSkipped int64 // the normalised rule: p_i < th
+			for _, p := range m.Apply(ex, th).P {
+				for _, pi := range p {
+					denseRows++
+					if pi < th {
+						denseSkipped++
+					}
+				}
+			}
+			if lazyIns.TotalRows != denseRows || lazyIns.SkippedRows > denseSkipped {
 				t.Errorf("ns=%d d=%d: lazy hop skipped %d of %d rows, normalised rule %d of %d",
-					ns, d, lazyIns.SkippedRows, lazyIns.TotalRows, denseIns.SkippedRows, denseIns.TotalRows)
+					ns, d, lazyIns.SkippedRows, lazyIns.TotalRows, denseSkipped, denseRows)
 			}
 			if ns > 5*hopChunk && lazyIns.SkippedRows == 0 {
 				t.Errorf("ns=%d d=%d: lazy hop skipped nothing at th=%v", ns, d, th)

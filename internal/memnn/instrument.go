@@ -2,7 +2,6 @@ package memnn
 
 import (
 	"fmt"
-	"time"
 
 	"mnnfast/internal/sparse"
 	"mnnfast/internal/tensor"
@@ -10,8 +9,8 @@ import (
 )
 
 // Instrumentation accumulates per-stage wall-clock time and
-// zero-skipping row counters across forward passes. It is plain data:
-// accumulating into it costs two time.Now reads per stage and a handful
+// zero-skipping row counters across inference passes. It is plain data:
+// accumulating into it costs two clock reads per stage and a handful
 // of integer adds, and allocates nothing, so a serving loop can keep
 // one per pooled Forward and drain it into metrics after every request.
 //
@@ -29,27 +28,72 @@ type Instrumentation struct {
 	ProbedRows  int64 // rows scored by topk IVF probes (0 on the exact path)
 	CandRows    int64 // rows surviving the topk cut into softmax + weighted sum
 
-	// Ev, when non-nil, receives per-stage trace events
-	// (embed-question/embed-memory/hop/output, plus the scheduler's
-	// per-worker events in the batched path) with skipped-row
+	// Ev, when non-nil, receives one trace event per stage
+	// (embed-memory/embed-question/hop/gate/output, plus the scheduler's
+	// per-worker events under each hop), stamped by the very clock reads
+	// that feed the *NS accumulators, with the hop's row counts as
 	// annotations. Reset nils it; callers re-attach their buffer after
 	// each Reset. Event recording only reads clocks and writes into the
-	// fixed buffer — it never changes what the forward pass computes,
-	// so traced and untraced passes are bit-identical.
+	// fixed buffer — it never changes what the pass computes, so traced
+	// and untraced passes are bit-identical.
 	Ev *trace.Events
+
+	// untimed marks the stand-in infer uses when its caller passes no
+	// Instrumentation: stages read no clock.
+	untimed bool
 }
 
 // Reset zeroes every accumulator.
 func (ins *Instrumentation) Reset() { *ins = Instrumentation{} }
 
-// lap adds the time since *mark to *acc and advances *mark, so
-// consecutive stages share one clock read at each boundary.
+// stage is one open stage of a pass: the clock read that opened it and
+// the trace event it opened (-1 when untraced).
+type stage struct {
+	t0 int64
+	ev int32
+}
+
+// begin opens the stage called name. Its one clock read both stamps the
+// stage's trace event and is where end measures from.
 //
 //mnnfast:hotpath
-func lap(mark *time.Time, acc *int64) {
-	now := time.Now()
-	*acc += now.Sub(*mark).Nanoseconds()
-	*mark = now
+func (ins *Instrumentation) begin(name string) stage {
+	if ins.untimed {
+		return stage{ev: -1}
+	}
+	now := trace.Now()
+	return stage{now, ins.Ev.BeginAt(name, -1, now)}
+}
+
+// end closes s: its one clock read both ends the stage's trace event and
+// adds the stage's duration to acc, one of ins's *NS accumulators.
+//
+//mnnfast:hotpath
+func (ins *Instrumentation) end(s stage, acc *int64) {
+	if ins.untimed {
+		return
+	}
+	now := trace.Now()
+	ins.Ev.EndAt(s.ev, now)
+	*acc += now - s.t0
+}
+
+// count records hop k's row accounting, on the hop's trace event and in
+// the row counters.
+//
+//mnnfast:hotpath
+func (ins *Instrumentation) count(s stage, k int, c hopCounts) {
+	ins.Ev.Annotate(s.ev, "hop", int64(k))
+	ins.Ev.Annotate(s.ev, "skipped", c.skipped)
+	ins.Ev.Annotate(s.ev, "rows", c.rows)
+	if c.probed > 0 {
+		ins.Ev.Annotate(s.ev, "topk_probed", c.probed)
+		ins.Ev.Annotate(s.ev, "topk_kept", c.kept)
+	}
+	ins.SkippedRows += c.skipped
+	ins.TotalRows += c.rows
+	ins.ProbedRows += c.probed
+	ins.CandRows += c.kept
 }
 
 // EmbeddedStory caches the per-hop embedded memories (M_IN, M_OUT) of
@@ -57,8 +101,8 @@ func lap(mark *time.Time, acc *int64) {
 // their count — not on the question — so a serving session that answers
 // several questions against an unchanged story can embed once and reuse
 // the matrices, the serving-side analogue of the paper's embedding
-// cache (§3.3). The matrices are read-only during ApplyInstrumented, so
-// one EmbeddedStory may serve concurrent readers; invalidate (re-embed)
+// cache (§3.3). The matrices are read-only during a pass, so one
+// EmbeddedStory may serve concurrent readers; invalidate (re-embed)
 // whenever the story changes, since the temporal encoding bakes in the
 // sentence count.
 type EmbeddedStory struct {
@@ -104,24 +148,4 @@ func (m *Model) EmbedStoryInto(ex Example, es *EmbeddedStory) {
 			m.encodeInto(m.embOut(k), ex.Sentences[i], m.temporalRow(m.TimeOut[ti], i, ns), out.Row(i))
 		}
 	}
-}
-
-// ApplyInstrumented is ApplyInto with two optional extras: es, a cached
-// EmbeddedStory whose matrices replace the per-call memory embedding
-// (es.NS must match the example's sentence count), and ins, a per-stage
-// time and skip-counter accumulator. Either may be nil. With es set,
-// f.MemIn/f.MemOut are left untouched (the trainer's introspection of
-// them does not apply to the cached inference path).
-//
-//mnnfast:hotpath
-func (m *Model) ApplyInstrumented(ex Example, skipThreshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation) *Forward {
-	return m.applyInto(ex, skipThreshold, f, es, ins, ExitPolicy{}, false)
-}
-
-// PredictInstrumented returns the argmax answer class using the cached
-// embedded story and instrumentation plumbing of ApplyInstrumented.
-//
-//mnnfast:hotpath
-func (m *Model) PredictInstrumented(ex Example, threshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation) int {
-	return m.applyInto(ex, threshold, f, es, ins, ExitPolicy{}, false).Logits.ArgMax()
 }

@@ -52,20 +52,20 @@ func instrumentCorpus(t *testing.T) (*Model, *Corpus) {
 	return m, c
 }
 
-// TestApplyInstrumentedMatchesApply checks that the instrumented and
-// embedded-story-cached paths are bit-identical to the plain inference
-// pass across examples and skip thresholds, and — without skipping,
-// where the two hops evaluate the same equations — within reorderTol
-// of the trainer's dense pass.
-func TestApplyInstrumentedMatchesApply(t *testing.T) {
+// TestTimedCachedPassMatchesPlain checks on a bAbI corpus that the timed
+// pass over a cached embedded story is bit-identical to the untimed,
+// self-embedding one across examples and skip thresholds, and — without
+// skipping, where the two hops evaluate the same equations — within
+// reorderTol of the trainer's dense pass.
+func TestTimedCachedPassMatchesPlain(t *testing.T) {
 	m, c := instrumentCorpus(t)
 	var es EmbeddedStory
 	var ins Instrumentation
 	for _, th := range []float32{0, 0.05, 0.5} {
 		for i, ex := range c.Train[:12] {
-			want := m.ApplyInstrumented(ex, th, new(Forward), nil, nil)
+			want := m.ApplyGated(ex, th, ExitPolicy{}, new(Forward), nil, nil)
 			m.EmbedStoryInto(ex, &es)
-			got := m.ApplyInstrumented(ex, th, new(Forward), &es, &ins)
+			got := m.ApplyGated(ex, th, ExitPolicy{}, new(Forward), &es, &ins)
 			if len(want.Logits) != len(got.Logits) {
 				t.Fatalf("logit lengths differ")
 			}
@@ -75,8 +75,8 @@ func TestApplyInstrumentedMatchesApply(t *testing.T) {
 						th, i, j, got.Logits[j], want.Logits[j])
 				}
 			}
-			if want.Logits.ArgMax() != m.PredictInstrumented(ex, th, new(Forward), &es, &ins) {
-				t.Fatalf("th=%v ex=%d: PredictInstrumented disagrees", th, i)
+			if want.Logits.ArgMax() != m.PredictGated(ex, th, ExitPolicy{}, new(Forward), &es, &ins) {
+				t.Fatalf("th=%v ex=%d: PredictGated disagrees", th, i)
 			}
 			if th == 0 {
 				assertReordered(t, "lazy-softmax hop vs dense Apply", got.Logits, m.Apply(ex, 0).Logits)
@@ -91,7 +91,7 @@ func TestInstrumentationCounters(t *testing.T) {
 	m, c := instrumentCorpus(t)
 	ex := c.Train[0]
 	var ins Instrumentation
-	m.PredictInstrumented(ex, 0, new(Forward), nil, &ins)
+	m.PredictGated(ex, 0, ExitPolicy{}, new(Forward), nil, &ins)
 	if ins.EmbedNS <= 0 || ins.AttentionNS <= 0 || ins.OutputNS < 0 {
 		t.Errorf("stage times not populated: %+v", ins)
 	}
@@ -105,7 +105,7 @@ func TestInstrumentationCounters(t *testing.T) {
 	if ins.TotalRows != 0 {
 		t.Fatal("Reset did not zero counters")
 	}
-	m.PredictInstrumented(ex, 2, new(Forward), nil, &ins)
+	m.PredictGated(ex, 2, ExitPolicy{}, new(Forward), nil, &ins)
 	if ins.SkippedRows != wantRows {
 		t.Errorf("threshold 2 skipped %d of %d rows, want all", ins.SkippedRows, ins.TotalRows)
 	}
@@ -114,8 +114,8 @@ func TestInstrumentationCounters(t *testing.T) {
 	var es EmbeddedStory
 	m.EmbedStoryInto(ex, &es)
 	var cached, plain Instrumentation
-	m.PredictInstrumented(ex, 0, new(Forward), &es, &cached)
-	m.PredictInstrumented(ex, 0, new(Forward), nil, &plain)
+	m.PredictGated(ex, 0, ExitPolicy{}, new(Forward), &es, &cached)
+	m.PredictGated(ex, 0, ExitPolicy{}, new(Forward), nil, &plain)
 	if cached.TotalRows != plain.TotalRows {
 		t.Errorf("cached path row accounting differs: %d vs %d", cached.TotalRows, plain.TotalRows)
 	}
@@ -138,7 +138,7 @@ func TestEmbeddedStoryMismatchPanics(t *testing.T) {
 			t.Error("stale EmbeddedStory accepted")
 		}
 	}()
-	m.ApplyInstrumented(short, 0, new(Forward), &es, nil)
+	m.ApplyGated(short, 0, ExitPolicy{}, new(Forward), &es, nil)
 }
 
 // TestEmbedStoryIntoReuse checks grow-only buffer reuse across stories
@@ -158,8 +158,8 @@ func TestEmbedStoryIntoReuse(t *testing.T) {
 		t.Errorf("shrunk cache NS=%d rows=%d, want 1", es.NS, es.MemIn[0].Rows)
 	}
 	m.EmbedStoryInto(long, &es)
-	want := m.ApplyInstrumented(long, 0, new(Forward), nil, nil)
-	got := m.ApplyInstrumented(long, 0, new(Forward), &es, nil)
+	want := m.ApplyGated(long, 0, ExitPolicy{}, new(Forward), nil, nil)
+	got := m.ApplyGated(long, 0, ExitPolicy{}, new(Forward), &es, nil)
 	for j := range want.Logits {
 		if want.Logits[j] != got.Logits[j] {
 			t.Fatalf("after regrow, logit %d: %v != %v", j, got.Logits[j], want.Logits[j])

@@ -3,12 +3,9 @@ package memnn
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"mnnfast/internal/sched"
-	"mnnfast/internal/sparse"
 	"mnnfast/internal/tensor"
-	"mnnfast/internal/trace"
 )
 
 // Tying selects the weight-sharing scheme between hops (Sukhbaatar et
@@ -179,35 +176,54 @@ func (m *Model) timeIdx(k int) int {
 	return k
 }
 
-// Forward holds every intermediate of one example's forward pass; the
-// trainer reuses it for backprop and the evaluation code reads the
-// per-hop attention vectors from it.
+// Forward is one question's forward-pass state: the hop recurrence's
+// internal states, responses and answer logits. The dense pass (Apply)
+// also leaves the attention vectors in P for the trainer's backprop and
+// the evaluation reports; the inference pass (ApplyGated, PredictGated,
+// PredictBatch — see infer) keeps only its lazy-softmax state. Buffers
+// are reshaped grow-only, so a serving loop that owns one Forward per
+// goroutine runs pass after pass without allocating. A Forward must not
+// be shared between concurrent passes.
 type Forward struct {
-	NS     int              // number of story sentences
-	U      []tensor.Vector  // Hops+1 internal states (U[0] = question)
-	MemIn  []*tensor.Matrix // per hop: ns×d input memory (embedded)
-	MemOut []*tensor.Matrix // per hop: ns×d output memory (embedded)
-	P      []tensor.Vector  // per hop: attention weights (see below)
-	O      []tensor.Vector  // per hop: response vector
-	Logits tensor.Vector    // answer logits (length Answers)
+	// EmbeddedStory is the pass's own embedding of the example's story
+	// (NS, MemIn, MemOut, and the top-k Index when that mode is on).
+	// Apply always fills it — the trainer differentiates through it —
+	// and the inference pass fills it when the caller supplies no cached
+	// story; over a cached story it is left untouched.
+	EmbeddedStory
+
+	U      []tensor.Vector // Hops+1 internal states (U[0] = question)
+	P      []tensor.Vector // per hop: attention weights (see below)
+	O      []tensor.Vector // per hop: response vector
+	Logits tensor.Vector   // answer logits (length Answers)
 
 	// ExitHop is the number of hops the pass actually executed: Hops
 	// normally, fewer when a confidence gate fired (see ExitPolicy).
 	ExitHop int
 
-	// P[k] has length ns only on the dense path (Apply, ApplyInto and
-	// linear-start passes; see attendDense). Under top-k attention it is
-	// the compact survivor distribution, and the exact inference hop
-	// (attend) leaves it empty: it never materialises the weights and
-	// keeps only its lazy-softmax state here — the running maximum and
-	// sum of the hop in flight, the chunk scratch, and the finished
-	// hop's largest attention weight.
+	// P[k] has length ns only on the dense path (Apply and linear-start
+	// passes; see attendDense). Under top-k attention it is the compact
+	// survivor distribution, and the exact inference hop (attend) leaves
+	// it empty: it never materialises the weights and keeps only its
+	// lazy-softmax state here — the running maximum and sum of the hop
+	// in flight, the chunk scratch, and the finished hop's largest
+	// attention weight.
 	max, sum, peak float32
 	t              tensor.Vector
 
 	// gateP is the gate's softmax scratch (length Answers); it never
 	// feeds back into the forward state.
 	gateP tensor.Vector
+
+	// What infer keeps per question while a pass is in flight: the story
+	// the question attends over, whether group has placed it, and
+	// whether the gate's fallback floor committed it to the full path.
+	es            *EmbeddedStory
+	grouped, full bool
+
+	// solo is the batch of one that ApplyGated runs this Forward through,
+	// made on first use.
+	solo *BatchForward
 }
 
 // posWeight returns the position-encoding factor l_kj for the j-th of J
@@ -264,23 +280,20 @@ func (m *Model) temporalRow(table *tensor.Matrix, i, ns int) tensor.Vector {
 	return table.Row(ns - 1 - i)
 }
 
-// Apply runs the forward pass for one example and returns all
-// intermediates, the per-hop attention vectors P included — the form
-// the trainer and the evaluation reports need. The zero-skip threshold,
-// if positive, zeroes attention weights below it before the weighted
-// sum (the paper's Algorithm 1); the skipped mass is NOT renormalized,
-// matching the paper's FPGA implementation which accumulates every exp
-// into P_sum but skips only the weighted-sum work.
-func (m *Model) Apply(ex Example, skipThreshold float32) *Forward {
-	return m.ApplyInto(ex, skipThreshold, new(Forward))
-}
-
 // growVec returns a length-n vector reusing v's storage when possible.
 func growVec(v tensor.Vector, n int) tensor.Vector {
 	if cap(v) < n {
 		return tensor.NewVector(n)
 	}
 	return v[:n]
+}
+
+// growVecs is growVec for a slice of vectors.
+func growVecs(vs []tensor.Vector, n int) []tensor.Vector {
+	if cap(vs) < n {
+		return make([]tensor.Vector, n)
+	}
+	return vs[:n]
 }
 
 // growMat reshapes mat to rows×cols, reusing its storage when possible.
@@ -297,210 +310,93 @@ func growMat(mat *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	return mat
 }
 
-// ApplyInto is Apply with a caller-provided Forward whose buffers are
-// reshaped (grow-only) and reused. A serving loop that owns one Forward
-// per goroutine runs the whole forward pass without allocating once the
-// buffers reach steady-state size. f must not be shared between
-// concurrent calls.
+// question readies f for a pass over this model and embeds the question
+// into U[0].
 //
 //mnnfast:hotpath
-func (m *Model) ApplyInto(ex Example, skipThreshold float32, f *Forward) *Forward {
-	return m.applyInto(ex, skipThreshold, f, nil, nil, ExitPolicy{}, true)
+func (m *Model) question(f *Forward, words []int) {
+	hops := m.Cfg.Hops
+	f.U = growVecs(f.U, hops+1)
+	f.P, f.O = growVecs(f.P, hops), growVecs(f.O, hops)
+	f.ExitHop, f.full = hops, false
+	f.U[0] = growVec(f.U[0], m.Cfg.Dim)
+	m.encodeInto(m.B, words, nil, f.U[0])
 }
 
-// applyInto is the forward pass shared by every entry point. es, when
-// non-nil, supplies pre-embedded memories for the story (skipping the
-// per-hop encode); ins, when non-nil, accumulates per-stage wall time
-// and zero-skip counters; policy, when armed, gates each eligible hop
-// on a confidence score and exits early when it clears the threshold
-// (see exit.go for the determinism contract); dense materialises the
-// attention vectors in f.P (attendDense) where the inference entry
-// points run the column-chunked lazy-softmax hop (attend). All paths
-// stay allocation-free at steady state.
+// advance closes hop k for the questions fs with the state update
+// u' = u + o (adjacent tying) or u' = H·u + o (layer-wise). H is
+// model-global, so its rows are the outer loop: each is read once for
+// all of fs. Per question that is one tensor.Dot per row in ascending
+// order whatever the size of fs.
 //
 //mnnfast:hotpath
-func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation, policy ExitPolicy, dense bool) *Forward {
-	ns := len(ex.Sentences)
-	if ns == 0 {
-		panic("memnn: Apply on example with no story sentences")
+func (m *Model) advance(k int, fs []*Forward) {
+	d := m.Cfg.Dim
+	for _, f := range fs {
+		f.U[k+1] = growVec(f.U[k+1], d)
 	}
-	if ns > m.Cfg.MaxSent {
-		panic(fmt.Sprintf("memnn: story of %d sentences exceeds MaxSent %d", ns, m.Cfg.MaxSent))
-	}
-	if es != nil && es.NS != ns {
-		panic(fmt.Sprintf("memnn: EmbeddedStory built for %d sentences applied to story of %d", es.NS, ns))
-	}
-	hops, d := m.Cfg.Hops, m.Cfg.Dim
-	f.NS = ns
-	if cap(f.U) < hops+1 {
-		f.U = make([]tensor.Vector, hops+1)
-	}
-	f.U = f.U[:hops+1]
-	if cap(f.MemIn) < hops {
-		f.MemIn = make([]*tensor.Matrix, hops)
-		f.MemOut = make([]*tensor.Matrix, hops)
-		f.P = make([]tensor.Vector, hops)
-		f.O = make([]tensor.Vector, hops)
-	}
-	f.MemIn, f.MemOut = f.MemIn[:hops], f.MemOut[:hops]
-	f.P, f.O = f.P[:hops], f.O[:hops]
-	f.ExitHop = hops
-	gate, minH := policy.active(hops), policy.minHops()
-
-	var mark time.Time
-	var ev *trace.Events
-	if ins != nil {
-		mark = time.Now()
-		ev = ins.Ev
-	}
-
-	// Question embedding.
-	qe := ev.Begin("embed-question", -1)
-	f.U[0] = growVec(f.U[0], d)
-	m.encodeInto(m.B, ex.Question, nil, f.U[0])
-	ev.End(qe)
-	if ins != nil {
-		lap(&mark, &ins.EmbedNS)
-	}
-
-	for k := 0; k < hops; k++ {
-		var in, out *tensor.Matrix
-		if es != nil {
-			in, out = es.MemIn[k], es.MemOut[k]
-		} else {
-			me := ev.Begin("embed-memory", -1)
-			in = growMat(f.MemIn[k], ns, d)
-			out = growMat(f.MemOut[k], ns, d)
-			f.MemIn[k], f.MemOut[k] = in, out
-			ti := m.timeIdx(k)
-			for i := 0; i < ns; i++ {
-				m.encodeInto(m.embIn(k), ex.Sentences[i], m.temporalRow(m.TimeIn[ti], i, ns), in.Row(i))
-				m.encodeInto(m.embOut(k), ex.Sentences[i], m.temporalRow(m.TimeOut[ti], i, ns), out.Row(i))
-			}
-			ev.Annotate(me, "hop", int64(k))
-			ev.End(me)
-			if ins != nil {
-				lap(&mark, &ins.EmbedNS)
+	if m.Cfg.Tying == TyingLayerwise {
+		for r := 0; r < d; r++ {
+			hrow := m.H.Row(r)
+			for _, f := range fs {
+				f.U[k+1][r] = tensor.Dot(hrow, f.U[k])
 			}
 		}
-		he := ev.Begin("hop", -1)
-
-		skipped, rows := 0, ns
-		if idx := m.topkIndex(es, k); idx != nil {
-			// Approximate attention: probe the hop's IVF index, softmax
-			// only the surviving candidates, gather only their M_OUT
-			// rows. f.P[k] becomes the compact survivor distribution
-			// (ascending row order), which is what the attnmax gate and
-			// the skip threshold then see. Per-question, serial, and
-			// scratch-pooled: bit-identical at any parallelism or batch
-			// composition, allocation-free at steady state.
-			scr := sparse.GetProbeScratch()
-			c, ast := idx.Attend(f.U[k], m.topk.K, m.topk.NProbe, scr)
-			f.P[k] = growVec(f.P[k], ast.Kept)
-			copy(f.P[k], c.Weights)
-			f.O[k] = growVec(f.O[k], d)
-			skipped = c.WeightedSumGather(out, skipThreshold, f.O[k])
-			sparse.PutProbeScratch(scr)
-			rows = ast.Kept
-			ev.Annotate(he, "topk_probed", int64(ast.Probed))
-			ev.Annotate(he, "topk_kept", int64(ast.Kept))
-			if ins != nil {
-				ins.ProbedRows += int64(ast.Probed)
-				ins.CandRows += int64(ast.Kept)
-			}
-		} else if dense || m.LinearAttention {
-			skipped = m.attendDense(in, out, k, skipThreshold, f)
-		} else {
-			one := [1]*Forward{f}
-			skipped = attend(in, out, k, skipThreshold, one[:])
-		}
-
-		// Output calculation input: u' = u + o (adjacent) or
-		// u' = H·u + o (layer-wise).
-		u := growVec(f.U[k+1], d)
-		f.U[k+1] = u
-		if m.Cfg.Tying == TyingLayerwise {
-			tensor.MatVec(nil, m.H, f.U[k], u)
-		} else {
-			copy(u, f.U[k])
-		}
-		u.AddInPlace(f.O[k])
-		ev.Annotate(he, "hop", int64(k))
-		ev.Annotate(he, "skipped", int64(skipped))
-		ev.Annotate(he, "rows", int64(rows))
-		ev.End(he)
-		if ins != nil {
-			ins.SkippedRows += int64(skipped)
-			ins.TotalRows += int64(rows)
-			lap(&mark, &ins.AttentionNS)
-		}
-
-		// Confidence gate: after an eligible hop, score the state and
-		// exit early when the score clears the threshold. The gate
-		// writes only f.Logits and the gate scratch — never U, P, or O
-		// — so a pass where it never fires is bit-identical to the
-		// ungated pass (the final projection overwrites f.Logits).
-		if h := k + 1; gate && h >= minH && h < hops {
-			ge := ev.Begin("gate", -1)
-			conf := m.gateConfidence(policy.Metric, f, k)
-			fired := conf >= policy.Threshold
-			var fv int64
-			if fired {
-				fv = 1
-			}
-			ev.Annotate(ge, "hop", int64(k))
-			ev.Annotate(ge, "exit", fv)
-			ev.End(ge)
-			if ins != nil {
-				lap(&mark, &ins.GateNS)
-			}
-			if fired {
-				// Answer from the current state. The answer metrics
-				// already computed W·u into f.Logits; the attention
-				// metric pays the projection only on exit.
-				if policy.Metric == ExitAttnMax {
-					f.Logits = growVec(f.Logits, m.Cfg.Answers)
-					tensor.MatVec(nil, m.W, f.U[h], f.Logits)
-					if ins != nil {
-						lap(&mark, &ins.OutputNS)
-					}
-				}
-				f.ExitHop = h
-				return f
-			}
-			if fb := policy.fallback(); fb > 0 && conf < fb {
-				gate = false // hard question: commit to the full path
-			}
+	} else {
+		for _, f := range fs {
+			copy(f.U[k+1], f.U[k])
 		}
 	}
-
-	oe := ev.Begin("output", -1)
-	f.Logits = growVec(f.Logits, m.Cfg.Answers)
-	tensor.MatVec(nil, m.W, f.U[hops], f.Logits)
-	ev.End(oe)
-	if ins != nil {
-		lap(&mark, &ins.OutputNS)
+	for _, f := range fs {
+		f.U[k+1].AddInPlace(f.O[k])
 	}
+}
+
+// project writes the answer logits W·U[h] of the questions fs: the final
+// output (h = Hops) and the gate's exit logits (h < Hops) alike. Like H
+// in advance, each row of W is read once for all of fs, and per question
+// it is one tensor.Dot per answer row in ascending order — so a question
+// answers bit-identically alone, in any batch, and from any exit.
+//
+//mnnfast:hotpath
+func (m *Model) project(h int, fs []*Forward) {
+	for _, f := range fs {
+		f.Logits = growVec(f.Logits, m.Cfg.Answers)
+	}
+	for r := 0; r < m.Cfg.Answers; r++ {
+		wrow := m.W.Row(r)
+		for _, f := range fs {
+			f.Logits[r] = tensor.Dot(wrow, f.U[h])
+		}
+	}
+}
+
+// Apply is the dense forward pass: embed the story, then per hop
+// materialise the attention vector (attendDense) and update the state,
+// then project. It returns every intermediate, P included — the form the
+// trainer's backward pass and the evaluation reports need; inference
+// runs infer instead. The zero-skip threshold, if positive, zeroes
+// attention weights below it before the weighted sum (the paper's
+// Algorithm 1); the skipped mass is NOT renormalized, matching the
+// paper's FPGA implementation which accumulates every exp into P_sum but
+// skips only the weighted-sum work.
+func (m *Model) Apply(ex Example, skipThreshold float32) *Forward {
+	f := new(Forward)
+	m.EmbedStoryInto(ex, &f.EmbeddedStory)
+	m.question(f, ex.Question)
+	one := []*Forward{f}
+	for k := range f.P {
+		m.attendDense(f.MemIn[k], f.MemOut[k], k, skipThreshold, f)
+		m.advance(k, one)
+	}
+	m.project(m.Cfg.Hops, one)
 	return f
 }
 
-// Predict returns the argmax answer class for the example.
+// Predict returns the argmax answer class for the example: every hop,
+// no zero-skipping.
 func (m *Model) Predict(ex Example) int {
-	return m.PredictSkip(ex, 0)
-}
-
-// PredictSkip returns the argmax answer class with zero-skipping applied
-// at the given threshold.
-func (m *Model) PredictSkip(ex Example, threshold float32) int {
-	return m.PredictSkipInto(ex, threshold, new(Forward))
-}
-
-// PredictSkipInto is PredictSkip with a caller-provided Forward reused
-// across calls — the allocation-free serving path (see ApplyInto).
-//
-//mnnfast:hotpath
-func (m *Model) PredictSkipInto(ex Example, threshold float32, f *Forward) int {
-	return m.applyInto(ex, threshold, f, nil, nil, ExitPolicy{}, false).Logits.ArgMax()
+	return m.PredictGated(ex, 0, ExitPolicy{}, new(Forward), nil, nil)
 }
 
 // NumParams returns the total trainable parameter count.

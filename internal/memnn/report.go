@@ -28,8 +28,9 @@ func (m *Model) Evaluate(c *Corpus, examples []Example, threshold float32) *Repo
 		Confusions: make(map[[2]string]int),
 	}
 	correct := 0
+	var f Forward
 	for _, ex := range examples {
-		pred := m.PredictSkip(ex, threshold)
+		pred := m.PredictGated(ex, threshold, ExitPolicy{}, &f, nil, nil)
 		gold := c.AnswerWord(ex.Answer)
 		pa := r.PerAnswer[gold]
 		pa[1]++

@@ -15,9 +15,10 @@ import (
 // is bit-identical across {serial, parallel} × {batched, unbatched} —
 // the probe, candidate sort, top-k cut, softmax, and ascending-row
 // gather are per-question serial operations with no cross-question
-// state, pinned by internal/equivtest. Stories below MinRows (and
-// examples without a cached EmbeddedStory, e.g. the training path)
-// fall back to exact attention.
+// state, pinned by internal/equivtest. Stories below MinRows fall back
+// to exact attention, and the trainer's dense pass (Apply) is always
+// exact. An inference pass given no cached EmbeddedStory embeds and
+// indexes the story itself, as a cache fill would.
 
 // TopKConfig configures the model's approximate top-k attention mode.
 // The zero value (Enabled false) is exact attention everywhere.
@@ -100,14 +101,14 @@ func (m *Model) BuildStoryIndex(es *EmbeddedStory) bool {
 }
 
 // topkIndex returns the index to use for hop k of es, or nil when the
-// hop must run exact attention: topk disabled, no cached story, no
-// index built (below MinRows, or BuildStoryIndex never called), or
+// hop must run exact attention: topk disabled, no index built (below
+// MinRows, or BuildStoryIndex never called on a cached story), or
 // linear-start training (raw inner products have no top-k structure
 // worth probing — and the trainer compares against the dense pass).
 //
 //mnnfast:hotpath
 func (m *Model) topkIndex(es *EmbeddedStory, k int) *sparse.TopKIndex {
-	if !m.topk.Enabled || m.LinearAttention || es == nil || k >= len(es.Index) {
+	if !m.topk.Enabled || m.LinearAttention || k >= len(es.Index) {
 		return nil
 	}
 	return es.Index[k]

@@ -87,13 +87,13 @@ func TestTopKFullProbeMatchesExact(t *testing.T) {
 		var fTop, fExact Forward
 		var ins Instrumentation
 
-		got := c.model.ApplyInstrumented(ex, 0, &fTop, es, &ins)
+		got := c.model.ApplyGated(ex, 0, ExitPolicy{}, &fTop, es, &ins)
 		if ins.ProbedRows != int64(es.NS)*int64(c.model.Cfg.Hops) {
 			t.Fatalf("case %d: full probe scored %d rows, want %d", caseN, ins.ProbedRows, es.NS*c.model.Cfg.Hops)
 		}
 
 		c.model.SetTopK(TopKConfig{}) // exact path, same cached story
-		want := c.model.ApplyInstrumented(ex, 0, &fExact, es, nil)
+		want := c.model.ApplyGated(ex, 0, ExitPolicy{}, &fExact, es, nil)
 		assertReordered(t, "full-probe topk vs exact", got.Logits, want.Logits)
 	}
 }
@@ -115,7 +115,7 @@ func TestTopKBatchedMatchesUnbatched(t *testing.T) {
 		})
 		out := make([]int, batch)
 		var insB Instrumentation
-		c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &insB, out)
+		c.model.PredictBatch(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &insB, out)
 		if insB.ProbedRows == 0 {
 			t.Fatalf("case %d: batched topk pass probed nothing", caseN)
 		}
@@ -123,7 +123,7 @@ func TestTopKBatchedMatchesUnbatched(t *testing.T) {
 		var f Forward
 		var insU Instrumentation
 		for q := range c.exs {
-			want := c.model.ApplyInstrumented(c.exs[q], c.th, &f, c.stories[q], &insU)
+			want := c.model.ApplyGated(c.exs[q], c.th, ExitPolicy{}, &f, c.stories[q], &insU)
 			got := bf.Logits(q)
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want.Logits[i]) {
@@ -163,7 +163,7 @@ func TestTopKGatedBatchedMatchesUnbatched(t *testing.T) {
 			Threshold: float32(rng.Float64()),
 		}
 		out := make([]int, batch)
-		c.model.PredictBatchInstrumented(c.exs, c.th, policy, c.stories, &bf, nil, out)
+		c.model.PredictBatch(c.exs, c.th, policy, c.stories, &bf, nil, out)
 
 		var f Forward
 		for q := range c.exs {
@@ -208,12 +208,12 @@ func TestBuildStoryIndexFallback(t *testing.T) {
 
 	var f, fExact Forward
 	var ins Instrumentation
-	got := m.ApplyInstrumented(ex, 0, &f, es, &ins)
+	got := m.ApplyGated(ex, 0, ExitPolicy{}, &f, es, &ins)
 	if ins.ProbedRows != 0 || ins.CandRows != 0 {
 		t.Fatalf("fallback story still probed: %+v", ins)
 	}
 	m.SetTopK(TopKConfig{})
-	want := m.ApplyInstrumented(ex, 0, &fExact, es, nil)
+	want := m.ApplyGated(ex, 0, ExitPolicy{}, &fExact, es, nil)
 	for i := range want.Logits {
 		if math.Float32bits(got.Logits[i]) != math.Float32bits(want.Logits[i]) {
 			t.Fatal("fallback path differs from exact")
@@ -299,7 +299,7 @@ func TestTopKSteadyStateAllocs(t *testing.T) {
 
 	var f Forward
 	var ins Instrumentation
-	run := func() { m.PredictInstrumented(ex, 0.001, &f, es, &ins) }
+	run := func() { m.PredictGated(ex, 0.001, ExitPolicy{}, &f, es, &ins) }
 	run() // warm Forward buffers and scratch pools
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -337,7 +337,7 @@ func TestTopKNarrowProbeTouchesFewerRows(t *testing.T) {
 
 	var f Forward
 	var ins Instrumentation
-	m.ApplyInstrumented(ex, 0, &f, es, &ins)
+	m.ApplyGated(ex, 0, ExitPolicy{}, &f, es, &ins)
 	if ins.CandRows > int64(cfg.Hops)*16 {
 		t.Fatalf("K=8 kept %d rows over %d hops", ins.CandRows, cfg.Hops)
 	}

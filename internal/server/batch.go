@@ -87,7 +87,7 @@ type batchState struct {
 
 // EnableBatching routes /v1/answer through a micro-batching scheduler:
 // concurrent questions are coalesced into one batched inference call
-// per flush (see memnn.PredictBatchInstrumented), which amortizes every
+// per flush (see memnn.PredictBatch), which amortizes every
 // shared matrix-row read across the batch — the serving-side realization
 // of the paper's §4.1.2 batching argument. Batched answers are
 // bit-identical to unbatched ones.
@@ -193,7 +193,7 @@ func (s *Server) answerBatched(w http.ResponseWriter, r *http.Request, sess *ses
 // session lock and never blocks on a second, so holding several here
 // cannot deadlock. The self pin below records exactly that argument
 // for the lockorder analyzer, which otherwise flags the loop-carried
-// session.mu acquisitions lockForBatch hands back to this loop.
+// session.mu acquisitions acquire hands back to this loop.
 //
 //mnnfast:lockorder session.mu < session.mu single multi-session holder: the dispatcher goroutine
 //mnnfast:hotpath allow=append batch scratch slices grow only toward MaxBatch
@@ -230,7 +230,15 @@ func (s *Server) runAnswerBatch(items []*answerItem) {
 		}
 		dedup := si >= 0
 		if si < 0 {
-			si = s.lockForBatch(it.sess, st)
+			// Held until the flush ends, so the session's later items
+			// find it above. Accounting as on the unbatched path.
+			si = len(st.sessions)
+			wlocked, hit, embNS, err := s.acquire(it.sess, nil)
+			st.sessions = append(st.sessions, it.sess)
+			st.wlocked = append(st.wlocked, wlocked)
+			st.serr = append(st.serr, err)
+			st.hit = append(st.hit, hit)
+			st.embNS = append(st.embNS, embNS)
 		} else if st.serr[si] == nil {
 			s.met.cacheHits.Inc() // embedded earlier in this same batch
 		}
@@ -258,7 +266,7 @@ func (s *Server) runAnswerBatch(items []*answerItem) {
 			st.ins.Ev = &st.ev
 		}
 		inferStart := trace.Now()
-		s.model.PredictBatchInstrumented(st.exs, s.SkipThreshold, s.ExitPolicy, st.stories, &st.bf, &st.ins, st.out)
+		s.model.PredictBatch(st.exs, s.SkipThreshold, s.ExitPolicy, st.stories, &st.bf, &st.ins, st.out)
 		inferEnd := trace.Now()
 		s.met.observeInference(&st.ins)
 		st.ins.Ev = nil
@@ -277,11 +285,7 @@ func (s *Server) runAnswerBatch(items []*answerItem) {
 	}
 
 	for j, sess := range st.sessions {
-		if st.wlocked[j] {
-			sess.mu.Unlock()
-		} else {
-			sess.mu.RUnlock()
-		}
+		sess.release(st.wlocked[j])
 		st.sessions[j] = nil // don't pin sessions until the next flush
 	}
 	st.sessions = st.sessions[:0]
@@ -303,50 +307,4 @@ func (s *Server) logBatchFlush(items []*answerItem, seq int64) {
 	for _, it := range items {
 		s.AccessLog.Printf("batch_flush=%d batch_size=%d request_id=%s", seq, len(items), it.reqID)
 	}
-}
-
-// lockForBatch acquires sess for the duration of the current flush —
-// read-locked when its embedding cache is already valid, write-locked
-// (after embedding) otherwise — records it in st, and returns its index.
-// The cache hit/miss accounting matches the unbatched path: a valid
-// cache is a hit, an embed is a miss, an empty story is neither.
-//
-//mnnfast:hotpath allow=append batch scratch slices grow only toward MaxBatch
-func (s *Server) lockForBatch(sess *session, st *batchState) int {
-	sess.mu.RLock()
-	if sess.cacheValid {
-		s.met.cacheHits.Inc()
-		st.sessions = append(st.sessions, sess)
-		st.wlocked = append(st.wlocked, false)
-		st.serr = append(st.serr, nil)
-		st.hit = append(st.hit, true)
-		st.embNS = append(st.embNS, 0)
-		return len(st.sessions) - 1
-	}
-	sess.mu.RUnlock()
-
-	sess.mu.Lock()
-	var serr error
-	hit := false
-	var embNS int64
-	switch {
-	case len(sess.story.Sentences) == 0:
-		serr = errNoStory
-	case sess.cacheValid:
-		hit = true
-		s.met.cacheHits.Inc() // another goroutine embedded it meanwhile
-	default:
-		e0 := trace.Now()
-		serr = s.embedSession(sess, nil)
-		embNS = trace.Now() - e0
-		if serr == nil {
-			s.met.cacheMisses.Inc()
-		}
-	}
-	st.sessions = append(st.sessions, sess)
-	st.wlocked = append(st.wlocked, true)
-	st.serr = append(st.serr, serr)
-	st.hit = append(st.hit, hit)
-	st.embNS = append(st.embNS, embNS)
-	return len(st.sessions) - 1
 }

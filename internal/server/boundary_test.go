@@ -14,10 +14,10 @@ import (
 	"mnnfast/internal/trace"
 )
 
-// The inference core (memnn applyInto) panics on three inputs: a story
-// of no sentences, a story longer than the model's MaxSent, and an
-// EmbeddedStory built for a different sentence count than the example
-// it is applied to. These tests drive each of them at the JSON boundary,
+// The inference core (memnn's infer and EmbedStoryInto) panics on three
+// inputs: a story of no sentences, a story longer than the model's
+// MaxSent, and an EmbeddedStory built for a different sentence count
+// than the example it is applied to. These tests drive each of them at the JSON boundary,
 // batched and unbatched, and require an ordinary reply; the last one
 // checks the backstop for a panic nobody predicted.
 
@@ -81,6 +81,36 @@ func TestStoryBeyondMaxSentIsTrimmed(t *testing.T) {
 					t.Fatalf("answer %d over a %d-sentence story (MaxSent %d): status %d: %s",
 						i, len(long), s.model.Cfg.MaxSent, resp.StatusCode, body)
 				}
+			}
+		})
+	}
+}
+
+// TestRequestBodyCap: a body over the cap is a 413 on both decoding
+// endpoints, whatever it spells; a story of MaxSent sentences — the
+// longest the model keeps — is under it.
+func TestRequestBodyCap(t *testing.T) {
+	for name, s := range boundaryServers(t) {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			maxSent := s.model.Cfg.MaxSent
+			over := AnswerRequest{Question: strings.Repeat("a", bodyBaseBytes+maxSent*bodySentenceBytes)}
+			for _, path := range []string{"/v1/story", "/v1/answer"} {
+				if resp, body := post(t, ts, path, "s", over); resp.StatusCode != http.StatusRequestEntityTooLarge {
+					t.Errorf("%s with a body over the cap: status %d, want 413: %.80s", path, resp.StatusCode, body)
+				}
+			}
+			full := make([]string, maxSent)
+			for i := range full {
+				full[i] = "mary went to the garden"
+			}
+			full[maxSent-1] = "john went to the kitchen"
+			if resp, body := post(t, ts, "/v1/story", "s", StoryRequest{Sentences: full}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("story of MaxSent = %d sentences: status %d: %s", maxSent, resp.StatusCode, body)
+			}
+			if resp, body := post(t, ts, "/v1/answer", "s", AnswerRequest{Question: "where is john?"}); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"kitchen"`) {
+				t.Fatalf("answer over it: status %d: %s", resp.StatusCode, body)
 			}
 		})
 	}

@@ -44,9 +44,10 @@ func FuzzStoryJSON(f *testing.F) {
 	s := testServer(f)
 	h := s.Handler()
 	allowed := map[int]bool{
-		http.StatusOK:                  true,
-		http.StatusBadRequest:          true,
-		http.StatusUnprocessableEntity: true,
+		http.StatusOK:                    true,
+		http.StatusBadRequest:            true,
+		http.StatusUnprocessableEntity:   true,
+		http.StatusRequestEntityTooLarge: true,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzPost(t, h, "/v1/story", "fuzz-story", data, allowed)
@@ -80,9 +81,10 @@ func FuzzAnswerJSON(f *testing.F) {
 	// No story is seeded: a well-formed in-vocabulary question reaches
 	// the inference stage and gets the no-story 409.
 	allowed := map[int]bool{
-		http.StatusConflict:            true,
-		http.StatusBadRequest:          true,
-		http.StatusUnprocessableEntity: true,
+		http.StatusConflict:              true,
+		http.StatusBadRequest:            true,
+		http.StatusUnprocessableEntity:   true,
+		http.StatusRequestEntityTooLarge: true,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzPost(t, plainH, "/v1/answer", "fuzz-answer", data, allowed)

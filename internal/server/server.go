@@ -99,7 +99,7 @@ type Server struct {
 
 	// forwards recycles forward-pass buffers across answer requests:
 	// the inference core of a steady-state request allocates nothing
-	// (see memnn.ApplyInto); concurrent requests each draw their own.
+	// (see memnn.Forward); concurrent requests each draw their own.
 	forwards sync.Pool
 
 	// Micro-batching (see EnableBatching / batch.go). batch is nil when
@@ -331,14 +331,38 @@ func (s *Server) session(r *http.Request) *session {
 	return st
 }
 
+// Request bodies are capped at bodyBaseBytes plus bodySentenceBytes per
+// sentence of the model's MaxSent: room for the longest story the model
+// keeps, at several times the length of any sentence the bAbI vocabulary
+// can spell, and nothing a client can grow without bound.
+const (
+	bodyBaseBytes     = 64 << 10
+	bodySentenceBytes = 256
+)
+
+// decodeBody decodes a capped JSON request body into v. On failure it
+// has answered — 413 over the cap, 400 for anything else — and returns
+// false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	limit := int64(bodyBaseBytes + s.model.Cfg.MaxSent*bodySentenceBytes)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", limit)
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	return err == nil
+}
+
 func (s *Server) handleStory(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req StoryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	// Validate every sentence against the frozen vocabulary before
@@ -374,8 +398,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnswerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	tr := traceFrom(r.Context())
@@ -403,10 +426,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	idx, n, ok := s.answerCached(sess, qIDs, tr)
-	if !ok {
-		idx, n, err = s.answerEmbedding(sess, qIDs, tr)
-	}
+	idx, n, err := s.answer(sess, qIDs, tr)
 	switch {
 	case errors.Is(err, errNoStory):
 		httpError(w, http.StatusConflict, "%v", err)
@@ -419,43 +439,76 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// answerCached is the fast path: the session's embedded story is cached
-// — answer under the read lock so concurrent questions on this session
-// (and any traffic on other sessions) proceed in parallel. A valid
-// cache implies a non-empty story. ok is false when the cache is not
-// valid. The lock is released by defer, here and in answerEmbedding, so
-// a panic recovered by serve does not leave the session locked.
-func (s *Server) answerCached(sess *session, qIDs []int, tr *trace.Trace) (idx, n int, ok bool) {
+// acquire locks sess for answering with its embedding cache valid. The
+// fast path finds it valid under the read lock, so concurrent questions
+// on this session (and any traffic on other sessions) proceed in
+// parallel; the slow path — the first answer after a story mutation —
+// takes the write lock, (re)embeds, and keeps it. It returns with the
+// lock held, error or not (wlocked says which), for the caller to
+// sess.release; only a panic out of embedSession unlocks here, so that
+// once serve has recovered it the session is not left wedged. A valid
+// cache is a hit, an embed is a miss, an empty story (errNoStory) is
+// neither; embedNS is the time spent embedding.
+//
+//mnnfast:hotpath allow=closure the deferred unlock-on-panic guard is open-coded on the stack, never built on the heap
+func (s *Server) acquire(sess *session, tr *trace.Trace) (wlocked, hit bool, embedNS int64, err error) {
 	sess.mu.RLock()
-	defer sess.mu.RUnlock()
-	if !sess.cacheValid {
-		return 0, 0, false
+	if sess.cacheValid {
+		s.met.cacheHits.Inc()
+		return false, true, 0, nil
 	}
-	tr.Annotate(tr.Root(), "cache_hit", 1)
-	idx = s.predict(memnn.Example{Sentences: sess.cachedSentences, Question: qIDs}, &sess.emb, tr)
-	s.met.cacheHits.Inc()
-	return idx, len(sess.story.Sentences), true
+	sess.mu.RUnlock()
+
+	sess.mu.Lock()
+	held := false
+	defer func() {
+		if !held {
+			sess.mu.Unlock()
+		}
+	}()
+	switch {
+	case len(sess.story.Sentences) == 0:
+		err = errNoStory
+	case sess.cacheValid:
+		hit = true
+		s.met.cacheHits.Inc() // another goroutine embedded it meanwhile
+	default:
+		e0 := trace.Now()
+		err = s.embedSession(sess, tr)
+		embedNS = trace.Now() - e0
+		if err == nil {
+			s.met.cacheMisses.Inc()
+		}
+	}
+	held = true
+	return true, hit, embedNS, err
 }
 
-// answerEmbedding is the slow path: first answer after a story mutation
-// — (re)embed the story under the write lock, then answer while still
-// holding it. An empty story is errNoStory.
-func (s *Server) answerEmbedding(sess *session, qIDs []int, tr *trace.Trace) (idx, n int, err error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if len(sess.story.Sentences) == 0 {
-		return 0, 0, errNoStory
-	}
-	if !sess.cacheValid {
-		tr.Annotate(tr.Root(), "cache_hit", 0)
-		if err := s.embedSession(sess, tr); err != nil {
-			return 0, 0, err
-		}
-		s.met.cacheMisses.Inc()
+// release drops the lock acquire returned.
+func (sess *session) release(wlocked bool) {
+	if wlocked {
+		sess.mu.Unlock()
 	} else {
-		tr.Annotate(tr.Root(), "cache_hit", 1)
-		s.met.cacheHits.Inc() // another goroutine embedded it meanwhile
+		sess.mu.RUnlock()
 	}
+}
+
+// answer is the unbatched /v1/answer tail: acquire the session, predict
+// over its cached embedding, release. The release is deferred, so a
+// panic recovered by serve does not leave the session locked.
+//
+//mnnfast:locked sess.mu acquire returns with it held
+func (s *Server) answer(sess *session, qIDs []int, tr *trace.Trace) (idx, n int, err error) {
+	wlocked, hit, _, err := s.acquire(sess, tr)
+	defer sess.release(wlocked)
+	if err != nil {
+		return 0, 0, err
+	}
+	var hv int64
+	if hit {
+		hv = 1
+	}
+	tr.Annotate(tr.Root(), "cache_hit", hv)
 	idx = s.predict(memnn.Example{Sentences: sess.cachedSentences, Question: qIDs}, &sess.emb, tr)
 	return idx, len(sess.story.Sentences), nil
 }

@@ -54,6 +54,17 @@ func (e *Events) Begin(name string, parent int32) int32 {
 	if e == nil {
 		return -1
 	}
+	return e.BeginAt(name, parent, Now())
+}
+
+// BeginAt is Begin with the start time (a Now reading) supplied by a
+// caller that wants the same clock read for a timer of its own.
+//
+//mnnfast:hotpath
+func (e *Events) BeginAt(name string, parent int32, now int64) int32 {
+	if e == nil {
+		return -1
+	}
 	n := e.n.Add(1)
 	if int(n) > MaxEvents {
 		e.dropped.Add(1)
@@ -62,7 +73,7 @@ func (e *Events) Begin(name string, parent int32) int32 {
 	ev := &e.ev[n-1]
 	ev.Name = name
 	ev.Parent = parent
-	ev.StartNS = Now()
+	ev.StartNS = now
 	ev.EndNS = 0
 	ev.NAttr = 0
 	return n - 1
@@ -76,6 +87,16 @@ func (e *Events) End(i int32) {
 		return
 	}
 	e.ev[i].EndNS = Now()
+}
+
+// EndAt is End with the end time supplied, the counterpart of BeginAt.
+//
+//mnnfast:hotpath
+func (e *Events) EndAt(i int32, now int64) {
+	if e == nil || i < 0 {
+		return
+	}
+	e.ev[i].EndNS = now
 }
 
 // Annotate attaches an integer attribute to an event.
