@@ -98,14 +98,17 @@ trace-demo:
 	done; \
 	$$tmp/mnnfast-loadgen -url http://127.0.0.1:18080 -sessions 4 -questions 10 -slowest 1
 
-# Exercise each fuzz target briefly against its seed corpus.
+# Exercise each fuzz target briefly against its seed corpus. CI's
+# fuzz-smoke job runs this target, and the nightly job runs it with
+# FUZZTIME=30s, so a new fuzz target is listed here and nowhere else.
+FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzStoryJSON -fuzztime=10s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzAnswerJSON -fuzztime=10s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzTokenize -fuzztime=10s ./internal/vocab/
-	$(GO) test -run=^$$ -fuzz=FuzzKernelTiers -fuzztime=10s ./internal/tensor/
-	$(GO) test -run=^$$ -fuzz=FuzzExitPolicy -fuzztime=10s ./internal/memnn/
-	$(GO) test -run=^$$ -fuzz=FuzzTopKIndex -fuzztime=10s ./internal/sparse/
+	$(GO) test -run=^$$ -fuzz=FuzzStoryJSON -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzAnswerJSON -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzTokenize -fuzztime=$(FUZZTIME) ./internal/vocab/
+	$(GO) test -run=^$$ -fuzz=FuzzKernelTiers -fuzztime=$(FUZZTIME) ./internal/tensor/
+	$(GO) test -run=^$$ -fuzz=FuzzExitPolicy -fuzztime=$(FUZZTIME) ./internal/memnn/
+	$(GO) test -run=^$$ -fuzz=FuzzTopKIndex -fuzztime=$(FUZZTIME) ./internal/sparse/
 
 clean:
 	$(GO) clean ./...

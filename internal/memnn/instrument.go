@@ -116,10 +116,23 @@ type EmbeddedStory struct {
 	// missing hops. EmbedStoryInto truncates it: re-embedding moves the
 	// rows, so any previous index is stale.
 	Index []*sparse.TopKIndex
+
+	// bagRow is EmbedStoryInto's scratch: per embedding table, the row
+	// that holds the table's bag of words for the sentence at hand.
+	bagRow []tensor.Vector
 }
 
 // EmbedStoryInto embeds ex's story into es, reusing es's buffers
 // grow-only. Only ex.Sentences is consulted.
+//
+// A memory row is its table's bag of words plus its temporal row, and
+// under adjacent tying hop k's output table is hop k+1's input table
+// (A^{k+1} = C^k), so a sentence has Hops+1 distinct bags, not 2·Hops
+// (2 under layer-wise tying). Per sentence the pass sums each distinct
+// bag once, into the first row that needs it, copies it into the other
+// rows of the same table, and then adds every row's temporal row. Each
+// element sees the same additions in the same order as encoding its row
+// on its own, so sharing the bags changes no bit.
 //
 //mnnfast:hotpath
 func (m *Model) EmbedStoryInto(ex Example, es *EmbeddedStory) {
@@ -139,13 +152,34 @@ func (m *Model) EmbedStoryInto(ex Example, es *EmbeddedStory) {
 	es.NS = ns
 	es.Index = es.Index[:0] // stale: the rows are about to move
 	for k := 0; k < hops; k++ {
-		in := growMat(es.MemIn[k], ns, d)
-		out := growMat(es.MemOut[k], ns, d)
-		es.MemIn[k], es.MemOut[k] = in, out
-		ti := m.timeIdx(k)
-		for i := 0; i < ns; i++ {
-			m.encodeInto(m.embIn(k), ex.Sentences[i], m.temporalRow(m.TimeIn[ti], i, ns), in.Row(i))
-			m.encodeInto(m.embOut(k), ex.Sentences[i], m.temporalRow(m.TimeOut[ti], i, ns), out.Row(i))
+		es.MemIn[k] = growMat(es.MemIn[k], ns, d)
+		es.MemOut[k] = growMat(es.MemOut[k], ns, d)
+	}
+	es.bagRow = growVecs(es.bagRow, len(m.Emb))
+	for i, words := range ex.Sentences {
+		clear(es.bagRow)
+		for k := 0; k < hops; k++ {
+			m.bagInto(es.bagRow, m.inTable(k), words, es.MemIn[k].Row(i))
+			m.bagInto(es.bagRow, m.outTable(k), words, es.MemOut[k].Row(i))
+		}
+		for k := 0; k < hops; k++ {
+			ti := m.timeIdx(k)
+			es.MemIn[k].Row(i).AddInPlace(m.temporalRow(m.TimeIn[ti], i, ns))
+			es.MemOut[k].Row(i).AddInPlace(m.temporalRow(m.TimeOut[ti], i, ns))
 		}
 	}
+}
+
+// bagInto writes table e's bag of words into dst: summed the first time
+// the sentence needs it (bagRow[e] then remembers the row), copied from
+// that row after.
+//
+//mnnfast:hotpath
+func (m *Model) bagInto(bagRow []tensor.Vector, e int, words []int, dst tensor.Vector) {
+	if bagRow[e] == nil {
+		m.encodeInto(m.Emb[e], words, dst)
+		bagRow[e] = dst
+		return
+	}
+	copy(dst, bagRow[e])
 }

@@ -152,20 +152,21 @@ func NewModel(cfg Config, rng *rand.Rand) (*Model, error) {
 	return m, nil
 }
 
-// embIn returns the memory-input embedding of hop k.
-func (m *Model) embIn(k int) *tensor.Matrix {
+// inTable returns the index in Emb of hop k's memory-input embedding.
+func (m *Model) inTable(k int) int {
 	if m.Cfg.Tying == TyingLayerwise {
-		return m.Emb[0]
+		return 0
 	}
-	return m.Emb[k]
+	return k
 }
 
-// embOut returns the memory-output embedding of hop k.
-func (m *Model) embOut(k int) *tensor.Matrix {
+// outTable returns the index in Emb of hop k's memory-output embedding.
+// Under adjacent tying it is hop k+1's input table (A^{k+1} = C^k).
+func (m *Model) outTable(k int) int {
 	if m.Cfg.Tying == TyingLayerwise {
-		return m.Emb[1]
+		return 1
 	}
-	return m.Emb[k+1]
+	return k + 1
 }
 
 // timeIdx maps hop k to a temporal-table index.
@@ -235,12 +236,12 @@ func posWeight(j, bigJ, k, d int) float32 {
 	return (1 - fj/fJ) - (float32(k+1)/float32(d))*(1-2*fj/fJ)
 }
 
-// encodeInto accumulates the sentence embedding of word IDs from table
-// emb plus the temporal vector into dst, with optional position
-// encoding.
+// encodeInto writes the sentence embedding of word IDs from table emb
+// into dst: the bag of words Σ_w emb[w], or with position encoding
+// Σ_j l_j ∘ emb[w_j], added in word order. Pad IDs (0) are skipped.
 //
 //mnnfast:hotpath
-func (m *Model) encodeInto(emb *tensor.Matrix, words []int, temporal tensor.Vector, dst tensor.Vector) {
+func (m *Model) encodeInto(emb *tensor.Matrix, words []int, dst tensor.Vector) {
 	dst.Zero()
 	if m.Cfg.Position {
 		bigJ := 0
@@ -260,16 +261,13 @@ func (m *Model) encodeInto(emb *tensor.Matrix, words []int, temporal tensor.Vect
 				dst[k] += posWeight(j, bigJ, k, m.Cfg.Dim) * row[k]
 			}
 		}
-	} else {
-		for _, w := range words {
-			if w == 0 {
-				continue
-			}
-			tensor.Axpy(1, emb.Row(w), dst)
-		}
+		return
 	}
-	if temporal != nil {
-		dst.AddInPlace(temporal)
+	for _, w := range words {
+		if w == 0 {
+			continue
+		}
+		tensor.Axpy(1, emb.Row(w), dst)
 	}
 }
 
@@ -320,7 +318,7 @@ func (m *Model) question(f *Forward, words []int) {
 	f.P, f.O = growVecs(f.P, hops), growVecs(f.O, hops)
 	f.ExitHop, f.full = hops, false
 	f.U[0] = growVec(f.U[0], m.Cfg.Dim)
-	m.encodeInto(m.B, words, nil, f.U[0])
+	m.encodeInto(m.B, words, f.U[0])
 }
 
 // advance closes hop k for the questions fs with the state update

@@ -121,22 +121,6 @@ func (g *grads) norm() float32 {
 	return float32(math.Sqrt(s))
 }
 
-// gradEmbIn returns the gradient matrix of the hop-k memory-input
-// embedding (respecting the tying scheme).
-func (m *Model) gradEmbIn(g *grads, k int) *tensor.Matrix {
-	if m.Cfg.Tying == TyingLayerwise {
-		return g.emb[0]
-	}
-	return g.emb[k]
-}
-
-func (m *Model) gradEmbOut(g *grads, k int) *tensor.Matrix {
-	if m.Cfg.Tying == TyingLayerwise {
-		return g.emb[1]
-	}
-	return g.emb[k+1]
-}
-
 // backward computes the example's gradient into g (which must be
 // zeroed) and returns the cross-entropy loss.
 func (m *Model) backward(ex Example, f *Forward, g *grads) float32 {
@@ -200,8 +184,8 @@ func (m *Model) backward(ex Example, f *Forward, g *grads) float32 {
 
 		// logits_i = u_k · in_i.
 		uk := f.U[k]
-		gIn := m.gradEmbIn(g, k)
-		gOut := m.gradEmbOut(g, k)
+		gIn := g.emb[m.inTable(k)]
+		gOut := g.emb[m.outTable(k)]
 		for i := 0; i < ns; i++ {
 			if gl := dLogit[i]; gl != 0 {
 				tensor.Axpy(gl, in.Row(i), dUNext)

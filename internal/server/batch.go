@@ -247,11 +247,11 @@ func (s *Server) runAnswerBatch(items []*answerItem) {
 			continue
 		}
 		it.err = nil
-		it.n = len(it.sess.story.Sentences)
+		it.n = it.sess.received
 		it.cacheHit = dedup || st.hit[si]
 		it.embedNS = st.embNS[si]
 		st.live = append(st.live, it)
-		st.exs = append(st.exs, memnn.Example{Sentences: it.sess.cachedSentences, Question: it.qIDs})
+		st.exs = append(st.exs, memnn.Example{Sentences: it.sess.sentences, Question: it.qIDs})
 		st.stories = append(st.stories, &it.sess.emb)
 	}
 

@@ -446,14 +446,13 @@ func TestRunAnswerBatchAllocs(t *testing.T) {
 	}
 	sess := s.session(answerReq("alloc", ""))
 	sess.mu.Lock()
-	sess.story.Sentences = [][]string{
-		{"john", "went", "to", "the", "kitchen"},
-		{"mary", "went", "to", "the", "garden"},
-	}
-	if err := s.embedSession(sess, nil); err != nil {
+	sents, _, err := encodeStory(s.corpus.Vocab, []string{"john went to the kitchen", "mary went to the garden"})
+	if err != nil {
 		sess.mu.Unlock()
 		t.Fatal(err)
 	}
+	sess.keep(sents, true, s.model.Cfg.MaxSent)
+	s.embedSession(sess, nil)
 	sess.mu.Unlock()
 
 	qJohn, err := s.corpus.Vocab.EncodeStrict([]string{"where", "is", "john"})

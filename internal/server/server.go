@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mnnfast/internal/babi"
 	"mnnfast/internal/batcher"
 	"mnnfast/internal/memnn"
 	"mnnfast/internal/obs"
@@ -50,20 +49,48 @@ import (
 	"mnnfast/internal/vocab"
 )
 
-// session is one user's state: the story, and a cache of its embedded
-// memories. The per-session lock means answer traffic on different
-// sessions proceeds in parallel; within one session, answers share the
-// cache under a read lock and only story mutations (or the first answer
-// after one) take the write lock.
+// session is one user's state: the word IDs of its story, and a cache of
+// their embedded memories. A story request is tokenized and encoded once,
+// at ingest, into one request-owned ID arena (encodeStory); the session
+// keeps sub-slices of it, trimmed to the model's MaxSent most recent
+// sentences (keep), which is all the embedding ever reads. The
+// per-session lock means answer traffic on different sessions proceeds in
+// parallel; within one session, answers share the cache under a read lock
+// and only story mutations (or the first answer after one) take the write
+// lock.
 type session struct {
-	mu    sync.RWMutex
-	story babi.Story // guarded by mu
+	mu        sync.RWMutex
+	sentences [][]int // word IDs of the most recent MaxSent sentences; guarded by mu
+	received  int     // sentences received since the last reset; guarded by mu
 
-	// Embedding cache: valid means cachedSentences/emb reflect the
-	// current story. Any story mutation invalidates it.
-	cacheValid      bool                // guarded by mu
-	cachedSentences [][]int             // vectorized story (trimmed to MaxSent); guarded by mu
-	emb             memnn.EmbeddedStory // guarded by mu
+	// Embedding cache: valid means emb reflects sentences. Any story
+	// mutation invalidates it.
+	cacheValid bool                // guarded by mu
+	emb        memnn.EmbeddedStory // guarded by mu
+}
+
+// keep appends sents, the word IDs of a story request's sentences, to
+// the stored story (replacing it when reset) and trims the store to the
+// maxSent most recent sentences, the only ones the embedding reads.
+// Trimming copies the kept tail down and clears the vacated slots, so a
+// request arena that no kept sentence points into is released.
+//
+//mnnfast:locked sess.mu
+func (sess *session) keep(sents [][]int, reset bool, maxSent int) {
+	if reset {
+		sess.sentences, sess.received = nil, 0
+	}
+	sess.received += len(sents)
+	stored := sents // an empty store adopts the request's slice as is
+	if len(sess.sentences) > 0 {
+		stored = append(sess.sentences, sents...)
+	}
+	if over := len(stored) - maxSent; over > 0 {
+		n := copy(stored, stored[over:])
+		clear(stored[n:])
+		stored = stored[:n]
+	}
+	sess.sentences = stored
 }
 
 // forwardState bundles the pooled per-request inference buffers: the
@@ -365,31 +392,52 @@ func (s *Server) handleStory(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	// Validate every sentence against the frozen vocabulary before
-	// mutating the session.
-	tokenized := make([][]string, 0, len(req.Sentences))
-	for i, raw := range req.Sentences {
-		words := vocab.Tokenize(raw)
-		if len(words) == 0 {
-			httpError(w, http.StatusBadRequest, "sentence %d is empty", i)
-			return
-		}
-		if _, err := s.corpus.Vocab.EncodeStrict(words); err != nil {
-			httpError(w, http.StatusUnprocessableEntity, "sentence %d: %v", i, err)
-			return
-		}
-		tokenized = append(tokenized, words)
+	// Encode every sentence against the frozen vocabulary before
+	// touching the session.
+	sents, bad, err := encodeStory(s.corpus.Vocab, req.Sentences)
+	switch {
+	case errors.Is(err, errEmptySentence):
+		httpError(w, http.StatusBadRequest, "sentence %d is empty", bad)
+		return
+	case err != nil:
+		httpError(w, http.StatusUnprocessableEntity, "sentence %d: %v", bad, err)
+		return
 	}
 	sess := s.session(r)
 	sess.mu.Lock()
-	if req.Reset {
-		sess.story.Sentences = nil
-	}
-	sess.story.Sentences = append(sess.story.Sentences, tokenized...)
+	sess.keep(sents, req.Reset, s.model.Cfg.MaxSent)
 	sess.cacheValid = false
-	n := len(sess.story.Sentences)
+	n := sess.received
 	sess.mu.Unlock()
 	writeJSON(w, http.StatusOK, StoryResponse{Sentences: n})
+}
+
+// errEmptySentence is encodeStory's verdict on a sentence with no words.
+var errEmptySentence = errors.New("empty sentence")
+
+// encodeStory tokenizes and encodes a story request's sentences in one
+// pass (vocab.EncodeText) into one ID arena sized up front, and returns
+// them as sub-slices of it: two allocations whatever the sentence count.
+// On failure it returns the index of the first bad sentence and why:
+// errEmptySentence, or the vocabulary's unknown-word error.
+func encodeStory(v *vocab.Vocabulary, raw []string) (sents [][]int, bad int, err error) {
+	n := 0
+	for _, r := range raw {
+		n += vocab.CountTokens(r)
+	}
+	arena := make([]int, 0, n)
+	sents = make([][]int, len(raw))
+	for i, r := range raw {
+		start := len(arena)
+		if arena, err = v.EncodeText(arena, r); err != nil {
+			return nil, i, err
+		}
+		if len(arena) == start {
+			return nil, i, errEmptySentence
+		}
+		sents[i] = arena[start:len(arena):len(arena)]
+	}
+	return sents, 0, nil
 }
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
@@ -467,18 +515,16 @@ func (s *Server) acquire(sess *session, tr *trace.Trace) (wlocked, hit bool, emb
 		}
 	}()
 	switch {
-	case len(sess.story.Sentences) == 0:
+	case len(sess.sentences) == 0:
 		err = errNoStory
 	case sess.cacheValid:
 		hit = true
 		s.met.cacheHits.Inc() // another goroutine embedded it meanwhile
 	default:
 		e0 := trace.Now()
-		err = s.embedSession(sess, tr)
+		s.embedSession(sess, tr)
 		embedNS = trace.Now() - e0
-		if err == nil {
-			s.met.cacheMisses.Inc()
-		}
+		s.met.cacheMisses.Inc()
 	}
 	held = true
 	return true, hit, embedNS, err
@@ -509,35 +555,29 @@ func (s *Server) answer(sess *session, qIDs []int, tr *trace.Trace) (idx, n int,
 		hv = 1
 	}
 	tr.Annotate(tr.Root(), "cache_hit", hv)
-	idx = s.predict(memnn.Example{Sentences: sess.cachedSentences, Question: qIDs}, &sess.emb, tr)
-	return idx, len(sess.story.Sentences), nil
+	idx = s.predict(memnn.Example{Sentences: sess.sentences, Question: qIDs}, &sess.emb, tr)
+	return idx, sess.received, nil
 }
 
-// embedSession vectorizes and embeds the session's story into its
-// cache. Caller holds the session write lock. The embedding time lands
-// in the embed-stage histogram, so cache effectiveness is directly
-// visible as vanished embed time on the hit path.
+// embedSession embeds the session's stored word IDs into its cache.
+// Caller holds the session write lock. The embedding time lands in the
+// embed-stage histogram, so cache effectiveness is directly visible as
+// vanished embed time on the hit path.
 //
-// This is the cache-fill miss path: it runs once per story change and
-// allocates by design (vectorization builds fresh id slices), so it is
-// a coldpath boundary — the zero-allocation contract covers the hit
-// path that serves from the embedded cache.
+// This is the cache-fill miss path: it runs once per story change (and
+// the IVF build beside it allocates), so it is a coldpath boundary — the
+// zero-allocation contract covers the hit path that serves from the
+// embedded cache.
 //
 //mnnfast:coldpath
 //mnnfast:locked sess.mu
-func (s *Server) embedSession(sess *session, tr *trace.Trace) error {
+func (s *Server) embedSession(sess *session, tr *trace.Trace) {
 	sp := tr.Start("embed-story", tr.Root())
 	t0 := time.Now()
-	ex, err := s.corpus.VectorizeStory(babi.Story{Sentences: sess.story.Sentences})
-	if err != nil {
-		tr.Finish(sp)
-		return err
-	}
-	sess.cachedSentences = ex.Sentences
-	s.model.EmbedStoryInto(memnn.Example{Sentences: ex.Sentences}, &sess.emb)
+	s.model.EmbedStoryInto(memnn.Example{Sentences: sess.sentences}, &sess.emb)
 	sess.cacheValid = true
 	s.met.stageEmbed.Observe(time.Since(t0))
-	tr.Annotate(sp, "sentences", int64(len(ex.Sentences)))
+	tr.Annotate(sp, "sentences", int64(len(sess.sentences)))
 	tr.Finish(sp)
 
 	// Topk mode: the IVF index rides beside the embedding cache — built
@@ -558,7 +598,6 @@ func (s *Server) embedSession(sess *session, tr *trace.Trace) error {
 		tr.Annotate(ib, "built", bv)
 		tr.Finish(ib)
 	}
-	return nil
 }
 
 // predict runs the model over one vectorized example with pooled

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // NilID is returned by Lookup for unknown words.
@@ -100,6 +101,89 @@ func (v *Vocabulary) EncodeStrict(words []string) ([]int, error) {
 	return ids, nil
 }
 
+// EncodeText tokenizes s and maps its tokens to IDs in one pass,
+// appending the IDs to dst: the IDs and the error are those of
+// EncodeStrict(Tokenize(s)), and on error dst comes back at its original
+// length. ASCII text costs no allocation per word — each token is looked
+// up as a substring of s, or lowercased into a stack buffer when it has
+// capitals — so the server can encode a whole story request into one
+// id arena. Text with any byte >= 0x80 takes the reference path.
+func (v *Vocabulary) EncodeText(dst []int, s string) ([]int, error) {
+	n0 := len(dst)
+	for i := 0; i < len(s); {
+		if isSep(s[i]) {
+			i++
+			continue
+		}
+		start, upper := i, false
+		for ; i < len(s) && !isSep(s[i]); i++ {
+			c := s[i]
+			if c >= utf8.RuneSelf {
+				ids, err := v.EncodeStrict(Tokenize(s))
+				if err != nil {
+					return dst[:n0], err
+				}
+				return append(dst[:n0], ids...), nil
+			}
+			upper = upper || c-'A' < 26
+		}
+		id, ok := v.lookupASCII(s[start:i], upper)
+		if !ok {
+			return dst[:n0], fmt.Errorf("vocab: unknown word %q", strings.ToLower(s[start:i]))
+		}
+		dst = append(dst, id)
+	}
+	return dst, nil
+}
+
+// lookupASCII looks up the lower-case form of the ASCII word; upper says
+// whether it has capitals to fold. Words up to 32 bytes fold into a stack
+// buffer, which the map lookup reads without copying.
+func (v *Vocabulary) lookupASCII(word string, upper bool) (int, bool) {
+	var buf [32]byte
+	switch {
+	case !upper:
+	case len(word) <= len(buf):
+		b := buf[:len(word)]
+		for j := range b {
+			c := word[j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			b[j] = c
+		}
+		id, ok := v.words[string(b)]
+		return id, ok
+	default:
+		word = strings.ToLower(word)
+	}
+	id, ok := v.words[word]
+	return id, ok
+}
+
+// CountTokens returns len(Tokenize(s)) without tokenizing: the number of
+// runs of non-separator bytes. Callers size an EncodeText arena with it.
+func CountTokens(s string) int {
+	n, in := 0, false
+	for i := 0; i < len(s); i++ {
+		word := !isSep(s[i])
+		if word && !in {
+			n++
+		}
+		in = word
+	}
+	return n
+}
+
+// sepMask has bit c set for each of Tokenize's separator bytes, all of
+// which are below 64.
+const sepMask uint64 = 1<<' ' | 1<<'\t' | 1<<'.' | 1<<'?' | 1<<',' | 1<<'!' | 1<<'\n' | 1<<'\r'
+
+// isSep reports whether c is one of Tokenize's separators.
+func isSep(c byte) bool {
+	return c < 64 && sepMask>>c&1 != 0
+}
+
 // Words returns all interned words in ID order. The slice is a copy.
 func (v *Vocabulary) Words() []string {
 	out := make([]string, len(v.byID))
@@ -112,11 +196,7 @@ func (v *Vocabulary) Words() []string {
 func Tokenize(s string) []string {
 	s = strings.ToLower(s)
 	fields := strings.FieldsFunc(s, func(r rune) bool {
-		switch r {
-		case ' ', '\t', '.', '?', ',', '!', '\n', '\r':
-			return true
-		}
-		return false
+		return r < utf8.RuneSelf && isSep(byte(r))
 	})
 	out := fields[:0]
 	for _, f := range fields {

@@ -81,6 +81,23 @@ func TestEncodeStrict(t *testing.T) {
 	}
 }
 
+// TestEncodeTextAllocs: on ASCII text with room in dst, EncodeText
+// allocates nothing, capitals and all.
+func TestEncodeTextAllocs(t *testing.T) {
+	v := fuzzVocab()
+	dst := make([]int, 0, 16)
+	for _, s := range []string{"John went to the kitchen.", "WHERE IS MARY?"} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := v.EncodeText(dst, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("EncodeText(%q) allocates %v per call, want 0", s, allocs)
+		}
+	}
+}
+
 func TestAddAllAndWords(t *testing.T) {
 	v := New().AddAll([]string{"a", "b"}, []string{"b", "c"})
 	if v.Size() != 4 {
