@@ -15,8 +15,8 @@ test:
 
 # Fallback-tier coverage: downgrade the CPUID probe so kernel dispatch
 # resolves to the portable go tier (see internal/tensor/dispatch.go),
-# for the kernels, core's engines, memnn's inference pass, and the
-# served path on top.
+# for the kernels, core's serial figure engines, memnn's inference
+# pass, and the served path on top.
 test-notavx2:
 	GODEBUG=cpu.avx2=off,cpu.avx=off $(GO) test ./internal/tensor/... ./internal/core/... ./internal/memnn/... ./internal/equivtest/... ./internal/server/...
 

@@ -5,7 +5,7 @@
 // experiment from internal/experiments and reports its headline number
 // as a custom metric — plus real wall-clock engine benchmarks
 // (BenchmarkInfer*) and ablation benchmarks for the design choices
-// DESIGN.md calls out (chunk size, sharding, sparse compaction).
+// DESIGN.md calls out (chunk size, skip threshold, sparse compaction).
 //
 // Run everything with:
 //
@@ -21,7 +21,6 @@ import (
 	"mnnfast/internal/experiments"
 	"mnnfast/internal/sparse"
 	"mnnfast/internal/tensor"
-	"mnnfast/internal/vocab"
 )
 
 // benchDB caches one database across engine benchmarks.
@@ -84,16 +83,6 @@ func BenchmarkInferColumnStream(b *testing.B) {
 func BenchmarkInferMnnFast(b *testing.B) {
 	benchEngine(b, func(m *core.Memory) core.Engine {
 		return core.NewColumn(m, core.Options{ChunkSize: 1000, Streaming: true, SkipThreshold: 0.1})
-	})
-}
-
-func BenchmarkInferSharded(b *testing.B) {
-	benchEngine(b, func(m *core.Memory) core.Engine {
-		s, err := core.NewSharded(m, 4, core.Options{ChunkSize: 1000}, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
 	})
 }
 
@@ -266,33 +255,6 @@ func BenchmarkEnergy(b *testing.B) {
 	b.ReportMetric(r.FPGAAdvantage, "fpga-energy-advantage")
 }
 
-// BenchmarkNetworkAnswer exercises the full public API path: embedding
-// a raw question, multi-hop inference, FC layer.
-func BenchmarkNetworkAnswer(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	v := newBenchVocab()
-	n, err := core.RandomNetwork(rng, v, 1<<14, 48, 3, 16, func(m *core.Memory) core.Engine {
-		return core.NewColumn(m, core.Options{ChunkSize: 1000, SkipThreshold: 0.1})
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := n.Answer("where is john?"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func newBenchVocab() *vocab.Vocabulary {
-	v := vocab.New()
-	for _, w := range []string{"where", "is", "john", "mary", "kitchen", "garden"} {
-		v.Add(w)
-	}
-	return v
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -322,46 +284,6 @@ func ftoa(f float32) string {
 }
 
 var _ = mnnfast.ExperimentIDs // keep the facade imported
-
-// Ablation: streaming prefetch pipeline depth (the paper's design is a
-// double buffer, depth 1).
-func BenchmarkPrefetchDepth(b *testing.B) {
-	for _, depth := range []int{1, 2, 4} {
-		b.Run(itoa(depth), func(b *testing.B) {
-			benchEngine(b, func(m *core.Memory) core.Engine {
-				return core.NewColumn(m, core.Options{ChunkSize: 1000, Streaming: true, PrefetchDepth: depth})
-			})
-		})
-	}
-}
-
-// BenchmarkBatchInference compares per-question cost of batched
-// multi-question inference (the GPU dataflow, one memory pass per
-// batch) against a single-question loop.
-func BenchmarkBatchInference(b *testing.B) {
-	const ns, ed, nq = 1 << 15, 48, 16
-	mem := benchMemory(b, ns, ed)
-	rng := rand.New(rand.NewSource(5))
-	u := tensor.RandomMatrix(rng, nq, ed, 1)
-	o := tensor.NewMatrix(nq, ed)
-
-	b.Run("batched", func(b *testing.B) {
-		eng := core.NewColumn(mem, core.Options{ChunkSize: 1000})
-		b.SetBytes((mem.In.SizeBytes() + mem.Out.SizeBytes()))
-		for i := 0; i < b.N; i++ {
-			eng.InferBatch(u, o)
-		}
-	})
-	b.Run("looped", func(b *testing.B) {
-		eng := core.NewColumn(mem, core.Options{ChunkSize: 1000})
-		b.SetBytes((mem.In.SizeBytes() + mem.Out.SizeBytes()))
-		for i := 0; i < b.N; i++ {
-			for q := 0; q < nq; q++ {
-				eng.Infer(u.Row(q), o.Row(q))
-			}
-		}
-	})
-}
 
 // BenchmarkBypass regenerates the §3.3 embedding-isolation ablation.
 func BenchmarkBypass(b *testing.B) {

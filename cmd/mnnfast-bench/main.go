@@ -35,57 +35,13 @@ func main() {
 		stories = flag.Int("stories", 0, "override training-set size (fig6/fig7)")
 		epochs  = flag.Int("epochs", 0, "override training epochs (fig6/fig7)")
 		format  = flag.String("format", "text", "output format: text, md, csv")
-		bjson   = flag.String("benchjson", "", "append single-query engine benchmarks to this JSON file and exit")
-		label   = flag.String("label", "dev", "label for -benchjson entries (e.g. pre-pr, post-pr)")
-		procs   = flag.String("procs", "", "sweep intra-query worker counts (comma list like 1,2,4,8, or 'auto' = 1..NumCPU) and exit")
-		procOut = flag.String("procs-out", "BENCH_parallel.json", "output file for the -procs scaling curve")
-		exit    = flag.String("earlyexit", "", "sweep early-exit thresholds (comma list like 0.25,0.5,0.9, or 'auto') and exit")
-		exitOut = flag.String("earlyexit-out", "BENCH_earlyexit.json", "output file for the -earlyexit sweep")
-		exitMet = flag.String("earlyexit-metric", "margin", "confidence metric for -earlyexit: margin, maxprob, or attnmax")
 		tier    = flag.String("kernel-tier", "auto", "kernel tier override: auto, scalar, go, or avx2 (if available)")
-		attn    = flag.String("attention", "", "run the exact-vs-topk attention sweep over these database sizes (comma list, 10^k allowed, e.g. 10^4,10^5,10^6) and exit")
-		attnOut = flag.String("attention-out", "BENCH_topk.json", "output file for the -attention sweep")
-		attnNP  = flag.String("topk-nprobe", "1,2,4,8,12,16,32", "probe widths swept by -attention (comma list)")
-		attnK   = flag.Int("topk-k", 32, "k for the -attention sweep's recall@k")
-		attnQ   = flag.Int("topk-queries", 100, "query sample size per -attention point")
 	)
 	flag.Parse()
 
 	if err := tensor.SetKernelTier(*tier); err != nil {
 		fmt.Fprintf(os.Stderr, "mnnfast-bench: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *attn != "" {
-		if err := runTopKSweep(*attnOut, *label, *attn, *attnNP, *ed, *attnK, *attnQ); err != nil {
-			fmt.Fprintf(os.Stderr, "mnnfast-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *exit != "" {
-		if err := runExitSweep(*exitOut, *label, *exitMet, *exit, *stories, *epochs); err != nil {
-			fmt.Fprintf(os.Stderr, "mnnfast-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *procs != "" {
-		if err := runParallelSweep(*procOut, *label, *procs, *ns, *ed, *chunk); err != nil {
-			fmt.Fprintf(os.Stderr, "mnnfast-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bjson != "" {
-		if err := runBenchJSON(*bjson, *label, *ns, *ed, *chunk); err != nil {
-			fmt.Fprintf(os.Stderr, "mnnfast-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list {

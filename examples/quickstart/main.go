@@ -38,7 +38,6 @@ func main() {
 		ChunkSize:     1000,
 		Streaming:     true,
 		SkipThreshold: 0.1,
-		Pool:          mnnfast.NewPool(0), // all cores
 	})
 
 	oBase := tensor.NewVector(ed)

@@ -5,206 +5,73 @@ import (
 	"runtime"
 	"testing"
 
+	"mnnfast/internal/memtrace"
 	"mnnfast/internal/tensor"
 )
 
-// Steady-state allocation assertions for the serving hot path. After a
-// warm-up query populates the scratch pools at the working shape,
-// repeated queries must allocate nothing — the per-query cost is pure
-// compute on pooled buffers and persistent workers.
-//
-// The streaming engine is excluded by design: its prefetcher is a
-// per-query pipeline goroutine (see Column.processBand).
+// Steady-state allocation assertions. The column engine owns its chunk
+// scratch, so after construction repeated queries allocate nothing and
+// spawn nothing — streaming included, since its prefetch runs on the
+// caller's goroutine.
 
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race; allocation counts are not meaningful")
-	}
+var columnRuntimeCases = []struct {
+	name string
+	opt  Options
+}{
+	{"serial", Options{ChunkSize: 512}},
+	{"skip", Options{ChunkSize: 512, SkipThreshold: 0.01}},
+	{"streaming", Options{ChunkSize: 512, Streaming: true}},
+	{"mnnfast", Options{ChunkSize: 512, Streaming: true, SkipThreshold: 0.01}},
 }
 
 func TestInferAllocs(t *testing.T) {
-	skipUnderRace(t)
 	rng := rand.New(rand.NewSource(42))
 	mem := randomMemory(t, rng, 4096, 64)
 	u := tensor.RandomVector(rng, 64, 1)
 	o := tensor.NewVector(64)
 
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"serial", Options{ChunkSize: 512}},
-		{"skip", Options{ChunkSize: 512, SkipThreshold: 0.01}},
-		{"parallel", Options{ChunkSize: 512, Pool: tensor.NewPool(4)}},
-	} {
+	for _, tc := range columnRuntimeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewColumn(mem, tc.opt)
-			c.Infer(u, o) // warm up pools at this shape
 			allocs := testing.AllocsPerRun(100, func() {
 				c.Infer(u, o)
 			})
 			if allocs != 0 {
 				t.Errorf("Column.Infer allocates %v per call, want 0", allocs)
 			}
-			tc.opt.Pool.Close()
 		})
 	}
 }
 
-func TestInferBatchAllocs(t *testing.T) {
-	skipUnderRace(t)
-	rng := rand.New(rand.NewSource(43))
-	mem := randomMemory(t, rng, 4096, 64)
-	const nq = 8
-	u := tensor.GaussianMatrix(rng, nq, 64, 1)
-	o := tensor.NewMatrix(nq, 64)
+// goroutineWatch is a Toucher that records the most goroutines alive
+// at any traced access of a query.
+type goroutineWatch struct{ max int }
 
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"plain", Options{ChunkSize: 512}},
-		{"skip", Options{ChunkSize: 512, SkipThreshold: 0.01}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewColumn(mem, tc.opt)
-			c.InferBatch(u, o) // warm up pools at this shape
-			allocs := testing.AllocsPerRun(100, func() {
-				c.InferBatch(u, o)
-			})
-			if allocs != 0 {
-				t.Errorf("Column.InferBatch allocates %v per call, want 0", allocs)
-			}
-		})
-	}
+func (g *goroutineWatch) Touch(memtrace.Region, memtrace.Op, int64, int) {
+	g.max = max(g.max, runtime.NumGoroutine())
 }
 
-// TestInferBatchIntoAllocs pins the caller-owned-scratch variant, which
-// must be allocation-free even on its first call after the scratch has
-// seen the shape once.
-func TestInferBatchIntoAllocs(t *testing.T) {
-	skipUnderRace(t)
-	rng := rand.New(rand.NewSource(44))
-	mem := randomMemory(t, rng, 2048, 32)
-	const nq = 5 // not a multiple of the Dot4 block
-	u := tensor.GaussianMatrix(rng, nq, 32, 1)
-	o := tensor.NewMatrix(nq, 32)
-	c := NewColumn(mem, Options{ChunkSize: 256})
-	var s BatchScratch
-	c.InferBatchInto(u, o, &s)
-	allocs := testing.AllocsPerRun(100, func() {
-		c.InferBatchInto(u, o, &s)
-	})
-	if allocs != 0 {
-		t.Errorf("Column.InferBatchInto allocates %v per call, want 0", allocs)
-	}
-}
-
-// TestShardedInferAllocs pins the scale-out fan-out path: shard
-// partials and dispatch state are pooled, so a warmed Sharded.Infer
-// allocates nothing — sequential or parallel.
-func TestShardedInferAllocs(t *testing.T) {
-	skipUnderRace(t)
-	rng := rand.New(rand.NewSource(46))
-	mem := randomMemory(t, rng, 4096, 64)
-	u := tensor.RandomVector(rng, 64, 1)
-	o := tensor.NewVector(64)
-
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
-		}
-		t.Run(name, func(t *testing.T) {
-			s, err := NewSharded(mem, 4, Options{ChunkSize: 512}, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			s.Infer(u, o) // warm up pools at this shape
-			allocs := testing.AllocsPerRun(100, func() {
-				s.Infer(u, o)
-			})
-			if allocs != 0 {
-				t.Errorf("Sharded.Infer allocates %v per call, want 0", allocs)
-			}
-		})
-	}
-}
-
-// TestShardedInferBatchAllocs pins the batched fan-out: per-shard,
-// per-question partials come from the pooled shard scratch.
-func TestShardedInferBatchAllocs(t *testing.T) {
-	skipUnderRace(t)
-	rng := rand.New(rand.NewSource(47))
-	mem := randomMemory(t, rng, 4096, 64)
-	const nq = 6
-	u := tensor.GaussianMatrix(rng, nq, 64, 1)
-	o := tensor.NewMatrix(nq, 64)
-
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
-		}
-		t.Run(name, func(t *testing.T) {
-			s, err := NewSharded(mem, 4, Options{ChunkSize: 512}, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			s.InferBatch(u, o) // warm up pools at this shape
-			allocs := testing.AllocsPerRun(100, func() {
-				s.InferBatch(u, o)
-			})
-			if allocs != 0 {
-				t.Errorf("Sharded.InferBatch allocates %v per call, want 0", allocs)
-			}
-		})
-	}
-}
-
-// TestShardedSpawnsNoGoroutines: the parallel fan-out rides persistent
-// pool workers — no goroutine per shard per query.
-func TestShardedSpawnsNoGoroutines(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	mem := randomMemory(t, rng, 4096, 32)
-	u := tensor.RandomVector(rng, 32, 1)
-	o := tensor.NewVector(32)
-	s, err := NewSharded(mem, 4, Options{ChunkSize: 512}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Infer(u, o) // spawns the persistent workers
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		s.Infer(u, o)
-	}
-	after := runtime.NumGoroutine()
-	if after > before {
-		t.Errorf("goroutine count grew from %d to %d across steady-state queries", before, after)
-	}
-}
-
-// TestInferSpawnsNoGoroutines checks the steady state also spawns
-// nothing: worker parallelism rides the persistent pool.
+// TestInferSpawnsNoGoroutines checks that no configuration runs a
+// goroutine beside the query or leaves one behind.
 func TestInferSpawnsNoGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	mem := randomMemory(t, rng, 4096, 32)
 	u := tensor.RandomVector(rng, 32, 1)
 	o := tensor.NewVector(32)
-	p := tensor.NewPool(4)
-	defer p.Close()
-	c := NewColumn(mem, Options{ChunkSize: 512, Pool: p})
-	c.Infer(u, o) // spawns the persistent workers
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		c.Infer(u, o)
-	}
-	after := runtime.NumGoroutine()
-	if after > before {
-		t.Errorf("goroutine count grew from %d to %d across steady-state queries", before, after)
+	for _, tc := range columnRuntimeCases {
+		var watch goroutineWatch
+		opt := tc.opt
+		opt.Tracer = &watch
+		c := NewColumn(mem, opt)
+		before := runtime.NumGoroutine()
+		for i := 0; i < 50; i++ {
+			c.Infer(u, o)
+		}
+		if watch.max > before {
+			t.Errorf("%s: %d goroutines alive during a query, %d before it", tc.name, watch.max, before)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: goroutine count grew from %d to %d across queries", tc.name, before, after)
+		}
 	}
 }

@@ -39,7 +39,7 @@ func (b *Baseline) Name() string { return "baseline" }
 
 // Infer implements Engine with the three-layer lock-step dataflow.
 func (b *Baseline) Infer(u, o tensor.Vector) Stats {
-	mem, tr, pool := b.mem, b.opt.Tracer, b.opt.Pool
+	mem, tr := b.mem, b.opt.Tracer
 	ns, ed := mem.NS(), mem.Dim()
 	rowBytes := ed * 4
 	var st Stats
@@ -47,14 +47,12 @@ func (b *Baseline) Infer(u, o tensor.Vector) Stats {
 
 	// Layer 1 — inner product: T_IN = u·M_INᵀ. Reads all of M_IN,
 	// writes the ns-sized T_IN spill.
-	pool.ParallelFor(ns, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			memtrace.Touch(tr, memtrace.RegionQuestion, memtrace.OpRead, 0, rowBytes)
-			memtrace.Touch(tr, memtrace.RegionMemIn, memtrace.OpRead, int64(i)*int64(rowBytes), rowBytes)
-			b.tIn[i] = tensor.Dot(u, mem.In.Row(i))
-			memtrace.Touch(tr, memtrace.RegionTempIn, memtrace.OpWrite, int64(i)*4, 4)
-		}
-	})
+	for i := 0; i < ns; i++ {
+		memtrace.Touch(tr, memtrace.RegionQuestion, memtrace.OpRead, 0, rowBytes)
+		memtrace.Touch(tr, memtrace.RegionMemIn, memtrace.OpRead, int64(i)*int64(rowBytes), rowBytes)
+		b.tIn[i] = tensor.Dot(u, mem.In.Row(i))
+		memtrace.Touch(tr, memtrace.RegionTempIn, memtrace.OpWrite, int64(i)*4, 4)
+	}
 	st.InnerProductMuls = int64(ns) * int64(ed)
 	st.SpillBytes += int64(ns) * 4 // T_IN written
 
@@ -62,13 +60,11 @@ func (b *Baseline) Infer(u, o tensor.Vector) Stats {
 	// the paper's CPU implementation (§4.1.1): exponentiation, sum,
 	// normalization. Each sub-step re-reads an ns-sized vector.
 	max := b.tIn.Max()
-	pool.ParallelFor(ns, 1024, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			memtrace.Touch(tr, memtrace.RegionTempIn, memtrace.OpRead, int64(i)*4, 4)
-			b.pExp[i] = expf(b.tIn[i] - max)
-			memtrace.Touch(tr, memtrace.RegionTempPexp, memtrace.OpWrite, int64(i)*4, 4)
-		}
-	})
+	for i := 0; i < ns; i++ {
+		memtrace.Touch(tr, memtrace.RegionTempIn, memtrace.OpRead, int64(i)*4, 4)
+		b.pExp[i] = expf(b.tIn[i] - max)
+		memtrace.Touch(tr, memtrace.RegionTempPexp, memtrace.OpWrite, int64(i)*4, 4)
+	}
 	st.Exps = int64(ns)
 	st.SpillBytes += int64(ns) * 4 // T_IN re-read
 	st.SpillBytes += int64(ns) * 4 // P_exp written
@@ -81,13 +77,11 @@ func (b *Baseline) Infer(u, o tensor.Vector) Stats {
 	st.SpillBytes += int64(ns) * 4 // P_exp re-read
 	fsum := float32(sum)
 
-	pool.ParallelFor(ns, 1024, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			memtrace.Touch(tr, memtrace.RegionTempPexp, memtrace.OpRead, int64(i)*4, 4)
-			b.p[i] = b.pExp[i] / fsum
-			memtrace.Touch(tr, memtrace.RegionTempP, memtrace.OpWrite, int64(i)*4, 4)
-		}
-	})
+	for i := 0; i < ns; i++ {
+		memtrace.Touch(tr, memtrace.RegionTempPexp, memtrace.OpRead, int64(i)*4, 4)
+		b.p[i] = b.pExp[i] / fsum
+		memtrace.Touch(tr, memtrace.RegionTempP, memtrace.OpWrite, int64(i)*4, 4)
+	}
 	st.Divisions = int64(ns) // one division per story sentence (Fig 5a step 2-2)
 	st.SpillBytes += int64(ns) * 4 * 2
 
@@ -100,7 +94,7 @@ func (b *Baseline) Infer(u, o tensor.Vector) Stats {
 		}
 		memtrace.Touch(tr, memtrace.RegionOutput, memtrace.OpWrite, 0, rowBytes)
 	}
-	tensor.VecMat(pool, b.p, mem.Out, o)
+	tensor.VecMat(nil, b.p, mem.Out, o)
 	st.WeightedSumMuls = int64(ns) * int64(ed)
 	st.TotalRows = int64(ns)
 	st.SpillBytes += int64(ns) * 4 // P re-read

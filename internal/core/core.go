@@ -16,10 +16,14 @@
 // sum and partial weighted sum with chunk-sized scratch that stays
 // cache-resident; softmax's division happens once at the end, per
 // output element (ed divisions instead of ns). Optional extensions are
-// streaming (prefetch of the next chunk overlapped with compute),
+// streaming (prefetch of the next chunk ahead of its compute) and
 // zero-skipping (bypassing weighted-sum rows whose exponential falls
-// below a threshold), and scale-out sharding (partials merge across
-// workers or nodes).
+// below a threshold).
+//
+// These engines drive the paper-figure experiments (internal/experiments):
+// both run serially and report their logical memory accesses to a
+// Tracer, whose cache simulator the figures read. The served model's
+// attention lives in internal/memnn.
 package core
 
 import (
@@ -63,24 +67,17 @@ type Options struct {
 	// the paper's CPU default of 1000 (Table 1). The baseline engine
 	// ignores it.
 	ChunkSize int
-	// Streaming enables prefetching the next chunk while the current
-	// one computes (column engine only).
+	// Streaming prefetches each chunk one chunk ahead of its compute —
+	// the paper's double buffer (column engine only).
 	Streaming bool
-	// PrefetchDepth is how many chunks the streaming prefetcher may run
-	// ahead of compute; 0 selects 1 (the paper's double buffer). Deeper
-	// pipelines tolerate more latency jitter at the cost of cache
-	// footprint — the BenchmarkPrefetchDepth ablation quantifies it.
-	PrefetchDepth int
 	// SkipThreshold enables zero-skipping (§3.2): a weighted-sum row is
-	// bypassed when its exponential is below the threshold times the
-	// running exponential sum — a single-pass approximation of the
-	// paper's probability test p_i < th_skip. Because the running sum
-	// only grows, the approximation is conservative: a row skipped
-	// under the running normalizer would also be skipped under the
-	// final one. 0 disables skipping.
+	// bypassed when its exponential is below the threshold times its
+	// chunk's exponential sum — a single-pass approximation of the
+	// paper's probability test p_i < th_skip. Because a chunk's sum is
+	// at most the final normalizer, the approximation is conservative:
+	// a row skipped under its chunk's sum would also be skipped under
+	// the final one. 0 disables skipping.
 	SkipThreshold float32
-	// Pool provides worker parallelism; nil runs serially.
-	Pool *tensor.Pool
 	// Tracer receives logical memory accesses for the cache simulator;
 	// nil disables tracing.
 	Tracer memtrace.Toucher
@@ -133,7 +130,8 @@ func (s Stats) SkipFraction() float64 {
 // TotalMuls returns all multiply operations counted.
 func (s Stats) TotalMuls() int64 { return s.InnerProductMuls + s.WeightedSumMuls }
 
-// Engine computes response vectors against a fixed Memory.
+// Engine computes response vectors against a fixed Memory. An engine
+// owns its per-query scratch, so it is not safe for concurrent use.
 type Engine interface {
 	// Infer computes the response vector for question state u into o
 	// (length ed each) and returns the work statistics of this call.
@@ -142,20 +140,23 @@ type Engine interface {
 	Name() string
 }
 
-// Partial is a mergeable fragment of a column-based inference: the
+// partial is a mergeable fragment of a column-based inference: the
 // running maximum shift, the partial exponential sum, and the partial
-// (shifted) weighted sum. Partials are what sharded/multi-node MnnFast
-// exchanges — their size is O(ed), which is the paper's argument for
-// negligible scale-out synchronization cost (§3.1).
-type Partial struct {
+// (shifted) weighted sum. Each chunk computes one, and the chunk
+// partials merge in ascending chunk order.
+type partial struct {
 	Max float32       // shift applied to the exponentials (-Inf when empty)
 	Sum float32       // Σ exp(lᵢ - Max)
 	O   tensor.Vector // Σ exp(lᵢ - Max)·m_iᴼᵁᵀ
 }
 
-// NewPartial returns an empty partial of dimension ed.
-func NewPartial(ed int) *Partial {
-	return &Partial{Max: negInf, Sum: 0, O: tensor.NewVector(ed)}
+// newPartial returns an empty partial of dimension ed.
+func newPartial(ed int) partial { return partial{Max: negInf, O: tensor.NewVector(ed)} }
+
+// reset empties p, keeping its O buffer.
+func (p *partial) reset() {
+	p.Max, p.Sum = negInf, 0
+	p.O.Zero()
 }
 
 const negInf = float32(-3.4e38)
@@ -164,7 +165,7 @@ const negInf = float32(-3.4e38)
 // shift so both are expressed relative to the common maximum.
 //
 //mnnfast:hotpath
-func (p *Partial) Merge(other *Partial) {
+func (p *partial) Merge(other *partial) {
 	if other.Sum == 0 && other.Max == negInf {
 		return
 	}
@@ -192,7 +193,7 @@ func (p *Partial) Merge(other *Partial) {
 // returning the number of divisions performed (ed, not ns).
 //
 //mnnfast:hotpath
-func (p *Partial) Finalize(o tensor.Vector) int64 {
+func (p *partial) Finalize(o tensor.Vector) int64 {
 	inv := float32(1) / p.Sum
 	for i, x := range p.O {
 		o[i] = x * inv

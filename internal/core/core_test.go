@@ -32,6 +32,20 @@ func reference(mem *Memory, u tensor.Vector) tensor.Vector {
 	return o
 }
 
+// bitsEqual reports whether two vectors are bitwise identical and
+// returns the first differing index.
+func bitsEqual(a, b tensor.Vector) (bool, int) {
+	if len(a) != len(b) {
+		return false, -1
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false, i
+		}
+	}
+	return true, 0
+}
+
 func TestNewMemoryValidation(t *testing.T) {
 	if _, err := NewMemory(nil, nil); err == nil {
 		t.Error("nil matrices accepted")
@@ -69,17 +83,15 @@ func TestColumnMatchesBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, shape := range [][2]int{{1, 1}, {7, 5}, {100, 48}, {999, 32}, {5000, 48}} {
 		for _, chunk := range []int{1, 7, 100, 1000} {
-			for _, workers := range []int{1, 4} {
-				mem := randomMemory(t, rng, shape[0], shape[1])
-				u := tensor.RandomVector(rng, shape[1], 1)
-				want := tensor.NewVector(shape[1])
-				NewBaseline(mem, Options{}).Infer(u, want)
-				got := tensor.NewVector(shape[1])
-				NewColumn(mem, Options{ChunkSize: chunk, Pool: tensor.NewPool(workers)}).Infer(u, got)
-				if d := tensor.MaxAbsDiff(want, got); d > 1e-4 {
-					t.Errorf("ns=%d ed=%d chunk=%d w=%d: column differs by %v",
-						shape[0], shape[1], chunk, workers, d)
-				}
+			mem := randomMemory(t, rng, shape[0], shape[1])
+			u := tensor.RandomVector(rng, shape[1], 1)
+			want := tensor.NewVector(shape[1])
+			NewBaseline(mem, Options{}).Infer(u, want)
+			got := tensor.NewVector(shape[1])
+			NewColumn(mem, Options{ChunkSize: chunk}).Infer(u, got)
+			if d := tensor.MaxAbsDiff(want, got); d > 1e-4 {
+				t.Errorf("ns=%d ed=%d chunk=%d: column differs by %v",
+					shape[0], shape[1], chunk, d)
 			}
 		}
 	}
@@ -92,7 +104,7 @@ func TestColumnStreamingMatchesBaseline(t *testing.T) {
 	want := tensor.NewVector(48)
 	NewBaseline(mem, Options{}).Infer(u, want)
 	got := tensor.NewVector(48)
-	NewColumn(mem, Options{ChunkSize: 128, Streaming: true, Pool: tensor.NewPool(3)}).Infer(u, got)
+	NewColumn(mem, Options{ChunkSize: 128, Streaming: true}).Infer(u, got)
 	if d := tensor.MaxAbsDiff(want, got); d > 1e-4 {
 		t.Errorf("streaming column differs from baseline by %v", d)
 	}
@@ -234,24 +246,24 @@ func TestStatsAdd(t *testing.T) {
 func TestPartialMergeCommutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ed := 8
-	mk := func() *Partial {
-		p := NewPartial(ed)
+	mk := func() *partial {
+		p := newPartial(ed)
 		p.Max = rng.Float32() * 10
 		p.Sum = rng.Float32() + 0.1
 		p.O = tensor.RandomVector(rng, ed, 1)
-		return p
+		return &p
 	}
 	for trial := 0; trial < 30; trial++ {
 		a1, b1 := mk(), mk()
-		a2 := NewPartial(ed)
+		a2 := newPartial(ed)
 		a2.Max, a2.Sum = a1.Max, a1.Sum
 		copy(a2.O, a1.O)
-		b2 := NewPartial(ed)
+		b2 := newPartial(ed)
 		b2.Max, b2.Sum = b1.Max, b1.Sum
 		copy(b2.O, b1.O)
 
-		a1.Merge(b1) // a ∪ b
-		b2.Merge(a2) // b ∪ a
+		a1.Merge(b1)  // a ∪ b
+		b2.Merge(&a2) // b ∪ a
 
 		oa := tensor.NewVector(ed)
 		ob := tensor.NewVector(ed)
@@ -265,11 +277,11 @@ func TestPartialMergeCommutes(t *testing.T) {
 
 func TestPartialMergeWithEmpty(t *testing.T) {
 	ed := 4
-	p := NewPartial(ed)
-	q := NewPartial(ed)
+	p := newPartial(ed)
+	q := newPartial(ed)
 	q.Max, q.Sum = 2, 3
 	q.O.Fill(6)
-	p.Merge(q)
+	p.Merge(&q)
 	o := tensor.NewVector(ed)
 	p.Finalize(o)
 	if d := tensor.MaxAbsDiff(o, tensor.Vector{2, 2, 2, 2}); d > 1e-6 {
@@ -277,53 +289,10 @@ func TestPartialMergeWithEmpty(t *testing.T) {
 	}
 	// Merging an empty partial must be a no-op.
 	before := p.Sum
-	p.Merge(NewPartial(ed))
+	empty := newPartial(ed)
+	p.Merge(&empty)
 	if p.Sum != before {
 		t.Error("merging empty partial changed the sum")
-	}
-}
-
-func TestShardedMatchesBaseline(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	ns, ed := 4096, 48
-	mem := randomMemory(t, rng, ns, ed)
-	u := tensor.RandomVector(rng, ed, 1)
-	want := tensor.NewVector(ed)
-	NewBaseline(mem, Options{}).Infer(u, want)
-
-	for _, shards := range []int{1, 2, 4, 7} {
-		for _, par := range []bool{false, true} {
-			s, err := NewSharded(mem, shards, Options{ChunkSize: 100}, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := tensor.NewVector(ed)
-			s.Infer(u, got)
-			if d := tensor.MaxAbsDiff(want, got); d > 1e-4 {
-				t.Errorf("shards=%d par=%v: differs by %v", shards, par, d)
-			}
-		}
-	}
-}
-
-func TestShardedValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	mem := randomMemory(t, rng, 10, 4)
-	if _, err := NewSharded(mem, 0, Options{}, false); err == nil {
-		t.Error("0 shards accepted")
-	}
-	if _, err := NewSharded(mem, 11, Options{}, false); err == nil {
-		t.Error("more shards than rows accepted")
-	}
-	s, err := NewSharded(mem, 3, Options{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards() < 3 {
-		t.Errorf("Shards() = %d, want >= 3", s.Shards())
-	}
-	if s.SyncBytes() <= 0 {
-		t.Error("SyncBytes must be positive")
 	}
 }
 
@@ -375,6 +344,89 @@ func TestStreamingTracesPrefetches(t *testing.T) {
 	}
 }
 
+// touch is one traced access.
+type touch struct {
+	region memtrace.Region
+	op     memtrace.Op
+	offset int64
+}
+
+// recorder is a Toucher that keeps the whole access stream.
+type recorder []touch
+
+func (r *recorder) Touch(region memtrace.Region, op memtrace.Op, offset int64, bytes int) {
+	*r = append(*r, touch{region, op, offset})
+}
+
+// TestStreamingPrefetchesOneChunkAhead pins the double buffer's access
+// order: chunk k+1 is prefetched before chunk k's first M_IN read, and
+// chunk k+2 only after chunk k's last one. Two traced runs must give
+// the same stream, and streaming must not change a bit of the output.
+func TestStreamingPrefetchesOneChunkAhead(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const ns, ed, chunk = 1000, 16, 128 // a short last chunk
+	rowBytes := int64(ed * 4)
+	mem := randomMemory(t, rng, ns, ed)
+	u := tensor.RandomVector(rng, ed, 1)
+
+	want := tensor.NewVector(ed)
+	NewColumn(mem, Options{ChunkSize: chunk}).Infer(u, want)
+
+	var runs [2]recorder
+	for i := range runs {
+		got := tensor.NewVector(ed)
+		NewColumn(mem, Options{ChunkSize: chunk, Streaming: true, Tracer: &runs[i]}).Infer(u, got)
+		if ok, j := bitsEqual(got, want); !ok {
+			t.Fatalf("run %d: streaming output differs from plain at element %d", i, j)
+		}
+	}
+	if len(runs[0]) != len(runs[1]) {
+		t.Fatalf("traced runs differ in length: %d vs %d", len(runs[0]), len(runs[1]))
+	}
+	for i := range runs[0] {
+		if runs[0][i] != runs[1][i] {
+			t.Fatalf("traced runs differ at access %d: %+v vs %+v", i, runs[0][i], runs[1][i])
+		}
+	}
+
+	// Positions in the stream of each chunk's first and last M_IN
+	// prefetch and read.
+	nChunks := (ns + chunk - 1) / chunk
+	firstPF, lastPF := make([]int, nChunks), make([]int, nChunks)
+	firstRd, lastRd := make([]int, nChunks), make([]int, nChunks)
+	for i := range firstPF {
+		firstPF[i], firstRd[i], lastPF[i], lastRd[i] = -1, -1, -1, -1
+	}
+	for i, a := range runs[0] {
+		if a.region != memtrace.RegionMemIn {
+			continue
+		}
+		k := int(a.offset/rowBytes) / chunk
+		first, last := firstRd, lastRd
+		if a.op == memtrace.OpPrefetch {
+			first, last = firstPF, lastPF
+		}
+		if first[k] < 0 {
+			first[k] = i
+		}
+		last[k] = i
+	}
+	for k := 0; k < nChunks; k++ {
+		if firstPF[k] < 0 || firstRd[k] < 0 {
+			t.Fatalf("chunk %d: no M_IN prefetch or read traced", k)
+		}
+		if lastPF[k] > firstRd[k] {
+			t.Errorf("chunk %d is read before its prefetch completes", k)
+		}
+		if k+1 < nChunks && lastPF[k+1] > firstRd[k] {
+			t.Errorf("chunk %d's prefetch does not complete before chunk %d's first read", k+1, k)
+		}
+		if k+2 < nChunks && firstPF[k+2] < lastRd[k] {
+			t.Errorf("chunk %d is prefetched before chunk %d's reads end: more than one chunk ahead", k+2, k)
+		}
+	}
+}
+
 func TestEngineNames(t *testing.T) {
 	mem := randomMemory(t, rand.New(rand.NewSource(12)), 4, 2)
 	cases := []struct {
@@ -391,16 +443,6 @@ func TestEngineNames(t *testing.T) {
 		if got := c.eng.Name(); got != c.want {
 			t.Errorf("Name = %q, want %q", got, c.want)
 		}
-	}
-}
-
-func TestInferPartialEmptyRange(t *testing.T) {
-	mem := randomMemory(t, rand.New(rand.NewSource(13)), 8, 4)
-	col := NewColumn(mem, Options{})
-	p := NewPartial(4)
-	st := col.InferPartial(tensor.NewVector(4), p, 3, 3)
-	if st.TotalRows != 0 || p.Sum != 0 {
-		t.Errorf("empty range did work: %+v, sum=%v", st, p.Sum)
 	}
 }
 
@@ -436,25 +478,9 @@ func TestSkippingAvoidsMemOutPrefetch(t *testing.T) {
 	}
 }
 
-func TestPrefetchDepthDoesNotChangeResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	mem := randomMemory(t, rng, 3000, 24)
-	u := tensor.RandomVector(rng, 24, 1)
-	want := tensor.NewVector(24)
-	NewBaseline(mem, Options{}).Infer(u, want)
-	for _, depth := range []int{0, 1, 2, 4} {
-		got := tensor.NewVector(24)
-		NewColumn(mem, Options{ChunkSize: 256, Streaming: true, PrefetchDepth: depth}).Infer(u, got)
-		if d := tensor.MaxAbsDiff(want, got); d > 1e-4 {
-			t.Errorf("depth %d: differs from baseline by %v", depth, d)
-		}
-	}
-}
-
 func TestAllOptionCombinationsAgree(t *testing.T) {
-	// Every combination of {chunking, streaming, pool, sharding} must
-	// produce the exact result; zero-skipping on sharp attention must
-	// stay close to it.
+	// Every combination of {chunking, streaming} must produce the exact
+	// result; zero-skipping on sharp attention must stay close to it.
 	rng := rand.New(rand.NewSource(16))
 	ns, ed := 4096, 32
 	mem := randomMemory(t, rng, ns, ed)
@@ -468,13 +494,9 @@ func TestAllOptionCombinationsAgree(t *testing.T) {
 	exact := []Engine{
 		NewColumn(mem, Options{ChunkSize: 64}),
 		NewColumn(mem, Options{ChunkSize: 64, Streaming: true}),
-		NewColumn(mem, Options{ChunkSize: 333, Pool: tensor.NewPool(3)}),
-		NewColumn(mem, Options{ChunkSize: 128, Streaming: true, Pool: tensor.NewPool(2), PrefetchDepth: 2}),
-	}
-	if s, err := NewSharded(mem, 5, Options{ChunkSize: 100, Streaming: true}, true); err == nil {
-		exact = append(exact, s)
-	} else {
-		t.Fatal(err)
+		NewColumn(mem, Options{ChunkSize: 333}),
+		NewColumn(mem, Options{ChunkSize: 128, Streaming: true}),
+		NewColumn(mem, Options{ChunkSize: ns, Streaming: true}),
 	}
 	for _, eng := range exact {
 		got := tensor.NewVector(ed)
@@ -486,7 +508,7 @@ func TestAllOptionCombinationsAgree(t *testing.T) {
 
 	skipping := []Engine{
 		NewColumn(mem, Options{ChunkSize: 64, SkipThreshold: 0.01}),
-		NewColumn(mem, Options{ChunkSize: 128, Streaming: true, SkipThreshold: 0.01, Pool: tensor.NewPool(2)}),
+		NewColumn(mem, Options{ChunkSize: 128, Streaming: true, SkipThreshold: 0.01}),
 	}
 	for _, eng := range skipping {
 		got := tensor.NewVector(ed)

@@ -30,33 +30,6 @@ func ExampleColumn() {
 	// spill bytes: 0
 }
 
-// ExamplePartial_Merge shows how scale-out fragments combine: two
-// shards' partials merge into the same answer one engine would produce.
-func ExamplePartial_Merge() {
-	rng := rand.New(rand.NewSource(2))
-	const ns, ed = 1000, 8
-	mem, _ := core.NewMemory(
-		tensor.GaussianMatrix(rng, ns, ed, 0.5),
-		tensor.GaussianMatrix(rng, ns, ed, 0.5),
-	)
-	u := tensor.RandomVector(rng, ed, 1)
-	eng := core.NewColumn(mem, core.Options{ChunkSize: 100})
-
-	left := core.NewPartial(ed)
-	right := core.NewPartial(ed)
-	eng.InferPartial(u, left, 0, ns/2)
-	eng.InferPartial(u, right, ns/2, ns)
-	left.Merge(right)
-	merged := tensor.NewVector(ed)
-	left.Finalize(merged)
-
-	whole := tensor.NewVector(ed)
-	eng.Infer(u, whole)
-	fmt.Printf("shards agree with single engine: %v\n", tensor.MaxAbsDiff(merged, whole) < 1e-5)
-	// Output:
-	// shards agree with single engine: true
-}
-
 // ExampleColumn_zeroSkipping shows the §3.2 optimization bypassing the
 // weighted-sum work of near-zero attention rows.
 func ExampleColumn_zeroSkipping() {

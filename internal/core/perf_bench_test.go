@@ -7,8 +7,8 @@ import (
 	"mnnfast/internal/tensor"
 )
 
-// perfMemory builds the acceptance-benchmark database: ns=10k, ed=128,
-// the configuration BENCH_column.json tracks across PRs.
+// perfMemory builds the single-query benchmark database (ns=10k,
+// ed=128).
 func perfMemory(tb testing.TB, ns, ed int) *Memory {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -37,8 +37,7 @@ func benchSingleQuery(b *testing.B, mk func(*Memory) Engine) {
 	}
 }
 
-// BenchmarkColumnSingle10kx128 is the headline number recorded in
-// BENCH_column.json (engine "column").
+// BenchmarkColumnSingle10kx128 is the exact column engine.
 func BenchmarkColumnSingle10kx128(b *testing.B) {
 	benchSingleQuery(b, func(m *Memory) Engine {
 		return NewColumn(m, Options{ChunkSize: 1000})
@@ -58,21 +57,4 @@ func BenchmarkMnnFastSingle10kx128(b *testing.B) {
 	benchSingleQuery(b, func(m *Memory) Engine {
 		return NewColumn(m, Options{ChunkSize: 1000, Streaming: true, SkipThreshold: 0.1})
 	})
-}
-
-// BenchmarkColumnBatch10kx128 tracks the batched path (nq=8).
-func BenchmarkColumnBatch10kx128(b *testing.B) {
-	const ns, ed, nq = 10000, 128, 8
-	mem := perfMemory(b, ns, ed)
-	eng := NewColumn(mem, Options{ChunkSize: 1000})
-	rng := rand.New(rand.NewSource(13))
-	u := tensor.RandomMatrix(rng, nq, ed, 1)
-	o := tensor.NewMatrix(nq, ed)
-	eng.InferBatch(u, o) // warm-up
-	b.SetBytes(mem.In.SizeBytes() + mem.Out.SizeBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.InferBatch(u, o)
-	}
 }

@@ -2,7 +2,9 @@
 // paper's evaluation (§5). Each experiment is a pure function from a
 // Config to a structured result that renders as the same rows/series
 // the paper reports; cmd/mnnfast-bench and the repository-root
-// benchmarks drive them.
+// benchmarks drive them. The engine-driven figures run internal/core's
+// serial Baseline and Column engines under a cache-simulator tracer,
+// so every figure except "measured" is a function of its Config alone.
 //
 // Absolute numbers depend on the modelled hardware constants (see
 // internal/perfmodel); what the reproduction is accountable for is the

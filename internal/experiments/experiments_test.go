@@ -336,3 +336,25 @@ func TestVerifyAllPasses(t *testing.T) {
 		}
 	}
 }
+
+// TestModelledFiguresDeterministic renders every experiment except the
+// wall-clock one twice and requires identical text: a figure is a
+// function of its Config alone.
+func TestModelledFiguresDeterministic(t *testing.T) {
+	for _, id := range IDs() {
+		if id == "measured" {
+			continue
+		}
+		var runs [2]string
+		for i := range runs {
+			tb, err := Run(id, quick())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = tb.String()
+		}
+		if runs[0] != runs[1] {
+			t.Errorf("%s renders differently on a second run:\n%s\nthen:\n%s", id, runs[0], runs[1])
+		}
+	}
+}

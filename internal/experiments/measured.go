@@ -64,6 +64,6 @@ func (r *MeasuredResult) Table() *Table {
 		t.AddRow(v.String(), r.Latency[i].String(), f2(r.Speedup[i]))
 	}
 	t.Note("ns=%d ed=%d, %d reps; exact variants agree within %.2g", r.NS, r.ED, r.Reps, r.MaxOutErr)
-	t.Note("on a single-core host the streaming prefetcher cannot overlap; its win appears in the modelled figures")
+	t.Note("streaming prefetches on the compute goroutine, so it cannot overlap here; its win appears in the modelled figures")
 	return t
 }

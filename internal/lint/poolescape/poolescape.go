@@ -41,12 +41,10 @@ var (
 	knownGet = map[string]bool{
 		"mnnfast/internal/tensor.GetVector": true,
 		"mnnfast/internal/tensor.GetMatrix": true,
-		"mnnfast/internal/core.GetPartial":  true,
 	}
 	knownPut = map[string]bool{
 		"mnnfast/internal/tensor.PutVector": true,
 		"mnnfast/internal/tensor.PutMatrix": true,
-		"mnnfast/internal/core.PutPartial":  true,
 	}
 )
 

@@ -100,8 +100,8 @@ func TestPoolConcurrentDispatch(t *testing.T) {
 
 // TestPoolDispatchAllocs asserts the steady-state dispatch path is
 // allocation-free: spans travel as structs and bookkeeping is pooled.
-// The closure is hoisted outside the measured loop, as the serving path
-// does (see core.inferScratch).
+// The closure is hoisted outside the measured loop, as a hot-path
+// caller builds its dispatch closure once and reuses it.
 func TestPoolDispatchAllocs(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

@@ -5,16 +5,14 @@
 // The package is the public facade over the repository's internal
 // packages. It exposes:
 //
-//   - the inference engines (the paper's contribution): the Baseline
-//     layer-by-layer dataflow and the Column engine implementing the
-//     column-based algorithm with lazy softmax, streaming, and
-//     zero-skipping, plus scale-out sharding;
-//   - a complete Network for end-to-end question answering (embedding,
-//     multi-hop inference, final FC layer);
-//   - the trainable end-to-end memory network (memnn) with synthetic
-//     bAbI-style datasets; and
+//   - the paper's inference engines: the Baseline layer-by-layer
+//     dataflow and the Column engine implementing the column-based
+//     algorithm with lazy softmax, streaming, and zero-skipping; and
 //   - the evaluation harness reproducing every table and figure of the
 //     paper (experiments).
+//
+// The trainable end-to-end memory network and the QA server built on
+// it live in internal/memnn, internal/server and cmd/mnnfast-serve.
 //
 // Quick start:
 //
@@ -40,29 +38,19 @@ import (
 )
 
 // Engine computes response vectors against a fixed memory; implemented
-// by Baseline, Column, and Sharded engines.
+// by the Baseline and Column engines. An engine is not safe for
+// concurrent use.
 type Engine = core.Engine
 
 // Memory is the embedded knowledge database (M_IN and M_OUT).
 type Memory = core.Memory
 
 // Options configures an engine (chunk size, streaming, zero-skipping
-// threshold, parallelism, tracing).
+// threshold, tracing).
 type Options = core.Options
 
 // Stats counts the work one or more inferences performed.
 type Stats = core.Stats
-
-// Network is a complete question-answering service: embedding table,
-// knowledge database, inference engine, and final FC layer.
-type Network = core.Network
-
-// NetworkConfig assembles a Network.
-type NetworkConfig = core.NetworkConfig
-
-// Partial is the mergeable scale-out fragment of a column-based
-// inference (running max, exponential sum, partial weighted sum).
-type Partial = core.Partial
 
 // NewMemory wraps and validates the two memory matrices.
 func NewMemory(in, out *tensor.Matrix) (*Memory, error) { return core.NewMemory(in, out) }
@@ -73,19 +61,6 @@ func NewBaseline(mem *Memory, opt Options) Engine { return core.NewBaseline(mem,
 // NewColumn returns the MnnFast column-based engine; enable Streaming
 // and SkipThreshold in opt for the full MnnFast configuration.
 func NewColumn(mem *Memory, opt Options) Engine { return core.NewColumn(mem, opt) }
-
-// NewSharded distributes the memory across shards, each served by a
-// column engine, with O(ed) partial-result merging.
-func NewSharded(mem *Memory, shards int, opt Options, parallel bool) (Engine, error) {
-	return core.NewSharded(mem, shards, opt, parallel)
-}
-
-// NewNetwork validates and builds a question-answering Network.
-func NewNetwork(cfg NetworkConfig) (*Network, error) { return core.NewNetwork(cfg) }
-
-// NewPool returns a parallel worker pool for Options.Pool; workers <= 0
-// selects GOMAXPROCS.
-func NewPool(workers int) *tensor.Pool { return tensor.NewPool(workers) }
 
 // ExperimentConfig scales the evaluation suite.
 type ExperimentConfig = experiments.Config

@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"mnnfast"
-	"mnnfast/internal/embed"
 	"mnnfast/internal/tensor"
-	"mnnfast/internal/vocab"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README's
@@ -26,9 +24,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	u := tensor.RandomVector(rng, ed, 1)
 
 	base := mnnfast.NewBaseline(mem, mnnfast.Options{})
-	fast := mnnfast.NewColumn(mem, mnnfast.Options{
-		ChunkSize: 256, Streaming: true, Pool: mnnfast.NewPool(2),
-	})
+	fast := mnnfast.NewColumn(mem, mnnfast.Options{ChunkSize: 256, Streaming: true})
 	oBase := tensor.NewVector(ed)
 	oFast := tensor.NewVector(ed)
 	stBase := base.Infer(u, oBase)
@@ -40,16 +36,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if stBase.Divisions != int64(ns) || stFast.Divisions != int64(ed) {
 		t.Errorf("division counts %d / %d, want ns=%d / ed=%d",
 			stBase.Divisions, stFast.Divisions, ns, ed)
-	}
-
-	sharded, err := mnnfast.NewSharded(mem, 3, mnnfast.Options{ChunkSize: 256}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oShard := tensor.NewVector(ed)
-	sharded.Infer(u, oShard)
-	if d := tensor.MaxAbsDiff(oBase, oShard); d > 1e-4 {
-		t.Errorf("sharded facade engine disagrees by %v", d)
 	}
 }
 
@@ -75,41 +61,5 @@ func TestFacadeConfigs(t *testing.T) {
 	quick := mnnfast.QuickExperimentConfig()
 	if def.NS <= quick.NS {
 		t.Errorf("default NS %d should exceed quick NS %d", def.NS, quick.NS)
-	}
-}
-
-func TestFacadeNetwork(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	v := vocab.New()
-	v.AddAll(vocab.Tokenize("where is john mary kitchen garden went to the"))
-	const ed = 16
-	mem, err := mnnfast.NewMemory(
-		tensor.GaussianMatrix(rng, 256, ed, 0.5),
-		tensor.GaussianMatrix(rng, 256, ed, 0.5),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := mnnfast.NewNetwork(mnnfast.NetworkConfig{
-		Vocab:   v,
-		Table:   embed.NewRandomTable(rng, v.Size(), ed),
-		Mem:     mem,
-		Engine:  mnnfast.NewColumn(mem, mnnfast.Options{ChunkSize: 64}),
-		Hops:    2,
-		W:       tensor.GaussianMatrix(rng, 4, ed, 0.1),
-		Answers: []string{"kitchen", "garden", "yes", "no"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, label, st, err := n.Answer("where is john?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if label != n.Answers[idx] {
-		t.Errorf("label %q at index %d", label, idx)
-	}
-	if st.Inferences != 2 {
-		t.Errorf("%d inferences for 2 hops", st.Inferences)
 	}
 }
