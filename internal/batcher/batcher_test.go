@@ -395,15 +395,31 @@ func TestInterleavingEquivalence(t *testing.T) {
 
 // TestConcurrentStress hammers one batcher from many goroutines with
 // cancellations and a racing Close — run under -race in CI.
+//
+// A caller whose context ends after flush has admitted its request to a
+// batch still gets ctx.Err() back (Do's contract), so the batch-size sum
+// counts the successful requests plus exactly those abandoned ones that
+// ran. The run function records which requests ran; it writes only on
+// the dispatcher goroutine, and Close orders those writes before the
+// reads below.
 func TestConcurrentStress(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	b := New(doubler, Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 32, Metrics: m})
+	ran := make(map[*req]bool)
+	run := func(batch []*req) {
+		for _, r := range batch {
+			ran[r] = true
+		}
+		doubler(batch)
+	}
+	b := New(run, Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 32, Metrics: m})
 
 	const goroutines = 16
 	const perG = 50
 	var wg sync.WaitGroup
 	var ok, shed, gone atomic.Int64
+	var mu sync.Mutex
+	var succeeded, abandoned []*req // guarded by mu
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -425,10 +441,18 @@ func TestConcurrentStress(t *testing.T) {
 					if r.Y != 2*i {
 						t.Errorf("wrong answer under stress: %d for %d", r.Y, i)
 					}
+					mu.Lock()
+					succeeded = append(succeeded, r)
+					mu.Unlock()
 				case errors.Is(err, ErrQueueFull):
 					shed.Add(1)
-				case errors.Is(err, ErrClosed), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+				case errors.Is(err, ErrClosed):
 					gone.Add(1)
+				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+					gone.Add(1)
+					mu.Lock()
+					abandoned = append(abandoned, r)
+					mu.Unlock()
 				default:
 					t.Errorf("unexpected error: %v", err)
 				}
@@ -442,8 +466,23 @@ func TestConcurrentStress(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Error("no request succeeded under stress")
 	}
-	if got := m.BatchSize.Sum(); got != ok.Load() {
-		t.Errorf("batch size sum %d != successful requests %d", got, ok.Load())
+	for _, r := range succeeded {
+		if !ran[r] {
+			t.Errorf("request %d succeeded without running in a batch", r.X)
+		}
+	}
+	var late int64
+	for _, r := range abandoned {
+		if ran[r] {
+			late++
+		}
+	}
+	if got, want := m.BatchSize.Sum(), ok.Load()+late; got != want {
+		t.Errorf("batch size sum %d != %d successful + %d abandoned after admission to a batch",
+			got, ok.Load(), late)
+	}
+	if got := m.BatchSize.Sum(); got != int64(len(ran)) {
+		t.Errorf("batch size sum %d != %d requests that ran", got, len(ran))
 	}
 }
 
