@@ -13,11 +13,12 @@
 //	curl localhost:8080/v1/statz            # JSON snapshot with percentiles
 //
 // Concurrent answers are micro-batched into one batched inference call
-// per flush (the paper's §4.1.2 batching argument): -batch-max sets the
-// flush size (0 disables batching), -batch-wait how long a partial
-// batch waits for stragglers, and -queue-depth the admission bound —
-// beyond it requests are shed with 429 + Retry-After. SIGINT/SIGTERM
-// drain in-flight batches before exit.
+// per flush (the paper's §4.1.2 batching argument): whenever the
+// dispatcher is free it flushes every queued answer, up to -batch-max
+// (0 disables batching), so a lone answer never waits for company.
+// -queue-depth is the admission bound — beyond it requests are shed
+// with 429 + Retry-After. SIGINT/SIGTERM drain in-flight batches before
+// exit.
 //
 // -parallelism N runs each flush's attention across N persistent
 // workers on the work-stealing chunk scheduler (bit-identical results;
@@ -68,7 +69,6 @@ func main() {
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		accessLog   = flag.Bool("access-log", false, "log one structured line per request to stderr")
 		batchMax    = flag.Int("batch-max", batcher.DefaultMaxBatch, "micro-batch flush size for /v1/answer (0 = no batching)")
-		batchWait   = flag.Duration("batch-wait", batcher.DefaultMaxWait, "how long a partial batch waits for stragglers")
 		queueDepth  = flag.Int("queue-depth", 0, "bounded answer queue; beyond it requests get 429 (0 = 4x batch-max)")
 		parallelism = flag.Int("parallelism", 0, "worker count for intra-query parallel attention (0 = serial; try runtime.NumCPU())")
 		enableTrace = flag.Bool("trace", true, "record request-scoped span traces into an in-memory flight recorder (GET /v1/traces)")
@@ -137,10 +137,9 @@ func main() {
 	if *batchMax > 0 {
 		srv.EnableBatching(server.BatchOptions{
 			MaxBatch:   *batchMax,
-			MaxWait:    *batchWait,
 			QueueDepth: *queueDepth,
 		})
-		log.Printf("micro-batching: max batch %d, max wait %v", *batchMax, *batchWait)
+		log.Printf("micro-batching: flush what is queued when the dispatcher is free, max batch %d", *batchMax)
 	}
 	if *parallelism > 0 {
 		if err := srv.EnableParallelism(*parallelism); err != nil {

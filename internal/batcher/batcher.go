@@ -1,8 +1,10 @@
 // Package batcher is a dynamic micro-batching scheduler: concurrent
 // callers hand it one request each, and a single dispatcher coalesces
-// them into batches for a caller-supplied run function — flushing when
-// the batch is full or when the oldest queued request has waited
-// MaxWait, whichever comes first.
+// them into batches for a caller-supplied run function. The flush rule
+// is Nagle's without the timer: whenever the dispatcher is free it
+// flushes everything queued, up to MaxBatch. Requests that arrive while
+// a batch runs queue up and ride the next flush together, so batches
+// grow with load and a lone request never waits for company.
 //
 // This is the serving-side mechanism behind the paper's batching
 // argument (§4.1.2): the inference engine amortizes every memory-row
@@ -40,28 +42,18 @@ var (
 	ErrClosed = errors.New("batcher: closed")
 )
 
-// Default policy knobs, used when the corresponding Option is zero.
-const (
-	DefaultMaxBatch = 8
-	DefaultMaxWait  = 2 * time.Millisecond
-)
+// DefaultMaxBatch is the flush size used when Options.MaxBatch is zero.
+const DefaultMaxBatch = 8
 
 // Options shape the flush and admission policy.
 type Options struct {
-	// MaxBatch flushes as soon as this many requests are batched
-	// (default DefaultMaxBatch).
+	// MaxBatch caps how many queued requests one flush takes (default
+	// DefaultMaxBatch).
 	MaxBatch int
-	// MaxWait flushes a partial batch once its first request has waited
-	// this long (default DefaultMaxWait). Zero or negative means flush
-	// immediately with whatever is queued at collection time.
-	MaxWait time.Duration
 	// QueueDepth bounds how many requests may sit queued awaiting
 	// collection (default 4×MaxBatch). Admission beyond it fails with
 	// ErrQueueFull.
 	QueueDepth int
-	// Clock supplies time; nil means the real clock. Tests inject a
-	// fake to drive the MaxWait timer deterministically.
-	Clock Clock
 	// Metrics, when non-nil, receives batch-size, queue-wait, flush,
 	// shed, and expiry accounting.
 	Metrics *Metrics
@@ -71,14 +63,8 @@ func (o *Options) normalize() {
 	if o.MaxBatch < 1 {
 		o.MaxBatch = DefaultMaxBatch
 	}
-	if o.MaxWait == 0 {
-		o.MaxWait = DefaultMaxWait
-	}
 	if o.QueueDepth < 1 {
 		o.QueueDepth = 4 * o.MaxBatch
-	}
-	if o.Clock == nil {
-		o.Clock = realClock{}
 	}
 }
 
@@ -133,9 +119,6 @@ func New[T any](run func(batch []T), opt Options) *Batcher[T] {
 // for queue-depth gauges.
 func (b *Batcher[T]) QueueLen() int { return len(b.queue) }
 
-// MaxWait reports the normalized flush deadline, for Retry-After hints.
-func (b *Batcher[T]) MaxWait() time.Duration { return b.opt.MaxWait }
-
 // Do submits one request and blocks until its batch has run (returning
 // nil, with the response filled into val by run), admission fails
 // (ErrQueueFull, ErrClosed), or ctx ends first (returning ctx.Err();
@@ -149,7 +132,7 @@ func (b *Batcher[T]) Do(ctx context.Context, val T) error {
 		p = &pending[T]{done: make(chan struct{}, 1)}
 	}
 	p.ctx, p.val, p.err = ctx, val, nil
-	p.enq = b.opt.Clock.Now()
+	p.enq = time.Now()
 
 	b.mu.RLock()
 	if b.closed {
@@ -220,9 +203,9 @@ func (b *Batcher[T]) dispatch() {
 }
 
 // collect gathers up to MaxBatch requests into b.batch, starting from
-// first: greedily take what is already queued, then wait out the
-// MaxWait timer for stragglers. A full batch never arms the timer, so
-// the MaxBatch=1 path stays allocation-free.
+// first, taking only what is already queued: the dispatcher never waits
+// for stragglers, since those that arrive while this batch runs are
+// queued for the next collect.
 //
 //mnnfast:hotpath allow=append b.batch grows only toward MaxBatch capacity set at construction
 func (b *Batcher[T]) collect(first *pending[T]) {
@@ -234,24 +217,7 @@ func (b *Batcher[T]) collect(first *pending[T]) {
 				return
 			}
 			b.batch = append(b.batch, p)
-			continue
 		default:
-		}
-		break
-	}
-	if len(b.batch) >= b.opt.MaxBatch || b.opt.MaxWait <= 0 {
-		return
-	}
-	t := b.opt.Clock.NewTimer(b.opt.MaxWait)
-	defer t.Stop()
-	for len(b.batch) < b.opt.MaxBatch {
-		select {
-		case p, ok := <-b.queue:
-			if !ok {
-				return
-			}
-			b.batch = append(b.batch, p)
-		case <-t.C():
 			return
 		}
 	}
@@ -263,7 +229,7 @@ func (b *Batcher[T]) collect(first *pending[T]) {
 //mnnfast:hotpath allow=append live/vals grow only toward MaxBatch capacity set at construction
 func (b *Batcher[T]) flush() {
 	m := b.opt.Metrics
-	now := b.opt.Clock.Now()
+	now := time.Now()
 	live := b.batch[:0]
 	b.vals = b.vals[:0]
 	for _, p := range b.batch {

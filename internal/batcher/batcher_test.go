@@ -12,62 +12,6 @@ import (
 	"mnnfast/internal/obs"
 )
 
-// fakeClock drives the MaxWait timer deterministically: time moves only
-// when the test calls Advance.
-type fakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
-}
-
-type fakeTimer struct {
-	ch    chan time.Time
-	at    time.Time
-	fired bool
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) NewTimer(d time.Duration) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{ch: make(chan time.Time, 1), at: c.now.Add(d)}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	for _, t := range c.timers {
-		if !t.fired && !t.at.After(c.now) {
-			t.fired = true
-			t.ch <- c.now
-		}
-	}
-}
-
-func (c *fakeClock) timerCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.timers)
-}
-
-func (t *fakeTimer) C() <-chan time.Time { return t.ch }
-
-func (t *fakeTimer) Stop() bool {
-	return true // the dispatcher only stops timers it no longer selects on
-}
-
 // waitFor polls cond for up to ~2s; the conditions under test are
 // driven by a live dispatcher goroutine, not by wall time.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -95,10 +39,10 @@ func doubler(batch []*req) {
 func TestFlushOnMaxBatch(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	b := New(doubler, Options{MaxBatch: 4, MaxWait: time.Hour, QueueDepth: 16, Metrics: m})
+	b := New(doubler, Options{MaxBatch: 4, QueueDepth: 16, Metrics: m})
 	defer b.Close()
 
-	const n = 8 // a multiple of MaxBatch, so no partial batch waits out the hour
+	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	reqs := make([]*req, n)
@@ -127,8 +71,10 @@ func TestFlushOnMaxBatch(t *testing.T) {
 	}
 }
 
-func TestFlushOnMaxWaitTimer(t *testing.T) {
-	clk := newFakeClock()
+// TestStragglersJoinNextFlush pins the flush rule: a lone request
+// flushes at once, and requests that queue while a batch runs ride the
+// next flush together, however far short of MaxBatch they are.
+func TestStragglersJoinNextFlush(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	gate := make(chan struct{})
@@ -142,53 +88,52 @@ func TestFlushOnMaxWaitTimer(t *testing.T) {
 		started <- struct{}{}
 		<-gate
 		doubler(batch)
-	}, Options{MaxBatch: 8, MaxWait: 50 * time.Millisecond, Clock: clk, Metrics: m})
+	}, Options{MaxBatch: 8, Metrics: m})
 	defer b.Close()
 
 	var wg sync.WaitGroup
+	reqs := make([]*req, 0, 4)
 	do := func(x int) {
+		r := &req{X: x}
+		reqs = append(reqs, r)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := b.Do(context.Background(), &req{X: x}); err != nil {
+			if err := b.Do(context.Background(), r); err != nil {
 				t.Errorf("Do(%d): %v", x, err)
 			}
 		}()
 	}
-	// A lone request cannot fill MaxBatch=8; only the timer flushes it.
+	// A lone request cannot fill MaxBatch=8; the free dispatcher
+	// flushes it anyway.
 	do(0)
-	waitFor(t, "timer armed", func() bool { return clk.timerCount() == 1 })
-	clk.Advance(50 * time.Millisecond)
-	<-started // batch [0] flushed by the timer; run now blocks on the gate
+	<-started // batch [0] is in run, holding the dispatcher on the gate
 
-	// Three stragglers pile up while the dispatcher is busy; the next
-	// collect grabs all of them at once and, still short of MaxBatch,
-	// arms a second timer.
-	do(1)
-	do(2)
-	do(3)
-	waitFor(t, "stragglers queued", func() bool { return b.QueueLen() == 3 })
-	close(gate) // release batch [0]; later runs pass the gate instantly
-	waitFor(t, "second timer armed", func() bool { return clk.timerCount() == 2 })
-	clk.Advance(50 * time.Millisecond)
+	// N < MaxBatch stragglers queue while the dispatcher is busy.
+	const n = 3
+	for x := 1; x <= n; x++ {
+		do(x)
+	}
+	waitFor(t, "stragglers queued", func() bool { return b.QueueLen() == n })
+	close(gate) // release batch [0]; later runs pass the gate at once
 	wg.Wait()
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 3 {
-		t.Errorf("flush sizes = %v, want [1 3]", sizes)
+	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != n {
+		t.Errorf("flush sizes = %v, want [1 %d]", sizes, n)
 	}
-	if m.BatchSize.Count() != 2 || m.BatchSize.Sum() != 4 {
-		t.Errorf("batch size count/sum = %d/%d, want 2/4", m.BatchSize.Count(), m.BatchSize.Sum())
+	for _, r := range reqs {
+		if r.Y != 2*r.X {
+			t.Errorf("req %d: Y = %d, want %d", r.X, r.Y, 2*r.X)
+		}
 	}
-	// Each request waited (in fake time) at most the 50ms MaxWait; the
-	// histogram quantile reports the covering power-of-two bucket bound,
-	// so allow up to 2^26ns ≈ 67ms.
-	if m.QueueWait.Count() != 4 {
-		t.Errorf("queue wait count = %d, want 4", m.QueueWait.Count())
+	if m.Flushes.Value() != 2 || m.BatchSize.Count() != 2 || m.BatchSize.Sum() != n+1 {
+		t.Errorf("flushes/batch size count/sum = %d/%d/%d, want 2/2/%d",
+			m.Flushes.Value(), m.BatchSize.Count(), m.BatchSize.Sum(), n+1)
 	}
-	if max := m.QueueWait.Quantile(1); max > int64(1)<<26 {
-		t.Errorf("max queue wait = %dns, want <= 2^26ns (bucket covering 50ms)", max)
+	if m.QueueWait.Count() != n+1 {
+		t.Errorf("queue wait count = %d, want %d", m.QueueWait.Count(), n+1)
 	}
 }
 
@@ -210,7 +155,7 @@ func gatedBatcher(opt Options) (b *Batcher[*req], gate chan struct{}, started ch
 func TestQueueFullShedsImmediately(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	b, gate, started, _ := gatedBatcher(Options{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 2, Metrics: m})
+	b, gate, started, _ := gatedBatcher(Options{MaxBatch: 1, QueueDepth: 2, Metrics: m})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ { // 1 in flight + 2 queued
@@ -246,7 +191,7 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 func TestExpiredWhileQueuedSkipsBatchSlot(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	b, gate, started, ran := gatedBatcher(Options{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 4, Metrics: m})
+	b, gate, started, ran := gatedBatcher(Options{MaxBatch: 1, QueueDepth: 4, Metrics: m})
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -288,7 +233,7 @@ func TestExpiredWhileQueuedSkipsBatchSlot(t *testing.T) {
 }
 
 func TestCloseDrainsInFlightAndQueued(t *testing.T) {
-	b, gate, started, ran := gatedBatcher(Options{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 8})
+	b, gate, started, ran := gatedBatcher(Options{MaxBatch: 1, QueueDepth: 8})
 
 	const n = 3
 	var wg sync.WaitGroup
@@ -338,8 +283,8 @@ func TestCloseDrainsInFlightAndQueued(t *testing.T) {
 
 // TestInterleavingEquivalence is the batcher-level correctness
 // property, testing/quick-style with a seeded generator: whatever the
-// arrival interleaving, batch-size limit, and wait policy, every Do
-// returns exactly its own request's answer.
+// arrival interleaving and batch-size limit, every Do returns exactly
+// its own request's answer.
 func TestInterleavingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 30; trial++ {
@@ -351,11 +296,7 @@ func TestInterleavingEquivalence(t *testing.T) {
 			}
 			batches.Add(1)
 			doubler(batch)
-		}, Options{
-			MaxBatch:   maxBatch,
-			MaxWait:    time.Duration(rng.Intn(3)) * time.Millisecond,
-			QueueDepth: 64,
-		})
+		}, Options{MaxBatch: maxBatch, QueueDepth: 64})
 
 		goroutines := 1 + rng.Intn(8)
 		perG := 1 + rng.Intn(10)
@@ -412,7 +353,7 @@ func TestConcurrentStress(t *testing.T) {
 		}
 		doubler(batch)
 	}
-	b := New(run, Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 32, Metrics: m})
+	b := New(run, Options{MaxBatch: 8, QueueDepth: 32, Metrics: m})
 
 	const goroutines = 16
 	const perG = 50
@@ -486,16 +427,15 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestDoAllocs: with a full batch of one (no timer armed) the whole
-// Do→collect→flush→complete round trip allocates nothing at steady
-// state — pending wrappers are pooled and completion channels reused.
-// This is the "0 allocs/op outside the flush boundary" guarantee: the
+// TestDoAllocs: the whole Do→collect→flush→complete round trip
+// allocates nothing at steady state — pending wrappers are pooled and
+// completion channels reused. This is the "0 allocs/op outside the flush boundary" guarantee: the
 // model-side counterpart lives in memnn's TestPredictBatchAllocs.
 func TestDoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; allocation counts are not meaningful")
 	}
-	b := New(doubler, Options{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 4})
+	b := New(doubler, Options{MaxBatch: 1, QueueDepth: 4})
 	defer b.Close()
 	r := &req{X: 3}
 	ctx := context.Background()

@@ -167,47 +167,3 @@ func answerConfidence(metric ExitMetric, probs tensor.Vector) float32 {
 	}
 	return p1 - p2
 }
-
-// ExitStats summarizes a gated evaluation sweep at one policy: how
-// often the gate fired per hop, the mean hops executed, and the answer
-// agreement with the full (gate-off) path — the threshold-vs-accuracy
-// methodology of EXPERIMENTS.md Fig 6/7 applied to hops instead of
-// attention rows.
-type ExitStats struct {
-	Policy     ExitPolicy
-	Questions  int
-	Agreement  float64 // fraction answering exactly as the full path
-	MeanHops   float64 // mean hops executed under the gate
-	MaxHops    int     // model hop count (the gate-off cost)
-	ExitsByHop []int64 // ExitsByHop[h-1] = questions that answered after h hops
-}
-
-// EvaluateExit runs examples through the gated and the full path and
-// reports agreement and hop savings. Evaluation-only (allocates).
-//
-//mnnfast:coldpath
-func (m *Model) EvaluateExit(examples []Example, skipThreshold float32, policy ExitPolicy) ExitStats {
-	st := ExitStats{
-		Policy:     policy,
-		Questions:  len(examples),
-		MaxHops:    m.Cfg.Hops,
-		ExitsByHop: make([]int64, m.Cfg.Hops),
-	}
-	if len(examples) == 0 {
-		return st
-	}
-	var f, full Forward
-	agree, hops := 0, 0
-	for _, ex := range examples {
-		gated := m.PredictGated(ex, skipThreshold, policy, &f, nil, nil)
-		want := m.PredictGated(ex, skipThreshold, ExitPolicy{}, &full, nil, nil)
-		if gated == want {
-			agree++
-		}
-		hops += f.ExitHop
-		st.ExitsByHop[f.ExitHop-1]++
-	}
-	st.Agreement = float64(agree) / float64(len(examples))
-	st.MeanHops = float64(hops) / float64(len(examples))
-	return st
-}

@@ -17,7 +17,8 @@
 // the chunk→worker assignment are timing-dependent; the set of items
 // and their payloads are not. Engines that merge per-item results in
 // fixed item order therefore produce bit-identical outputs at every
-// worker count, stealing or not (see core.Column.InferPartial).
+// worker count, stealing or not (see memnn's batched hop loop, which
+// calls RunEvents from infer).
 //
 // The steady state allocates nothing: run descriptors and deques come
 // from a process-wide sync.Pool with grow-only buffers, work travels

@@ -2,10 +2,7 @@ package server
 
 import (
 	"errors"
-	"math"
 	"net/http"
-	"strconv"
-	"time"
 
 	"mnnfast/internal/batcher"
 	"mnnfast/internal/memnn"
@@ -16,18 +13,18 @@ import (
 // layer maps it to 409 exactly like the unbatched path.
 var errNoStory = errors.New("no story in session; POST /v1/story first")
 
+// retryAfter is the Retry-After hint, in seconds, on a 429 from a full
+// answer queue: the smallest positive value the header can carry, since
+// a queued answer waits only for the flushes ahead of it.
+const retryAfter = "1"
+
 // BatchOptions configures dynamic micro-batching for /v1/answer.
 type BatchOptions struct {
-	// MaxBatch is the flush size (default batcher.DefaultMaxBatch).
+	// MaxBatch caps the flush size (default batcher.DefaultMaxBatch).
 	MaxBatch int
-	// MaxWait is how long a partial batch waits for stragglers before
-	// flushing (default batcher.DefaultMaxWait).
-	MaxWait time.Duration
 	// QueueDepth bounds the admission queue (default 4×MaxBatch); a full
 	// queue answers 429 with a Retry-After hint.
 	QueueDepth int
-	// Clock is for tests; nil means the real clock.
-	Clock batcher.Clock
 }
 
 // answerItem is one /v1/answer request's trip through the batcher: the
@@ -100,19 +97,12 @@ func (s *Server) EnableBatching(opt BatchOptions) {
 	}
 	b := batcher.New(s.runAnswerBatch, batcher.Options{
 		MaxBatch:   opt.MaxBatch,
-		MaxWait:    opt.MaxWait,
 		QueueDepth: opt.QueueDepth,
-		Clock:      opt.Clock,
 		Metrics:    batcher.NewMetrics(s.met.reg),
 	})
 	s.met.reg.GaugeFunc("mnnfast_batch_queue_length",
 		"Answer requests queued awaiting batch collection.",
 		func() int64 { return int64(b.QueueLen()) })
-	secs := int(math.Ceil(b.MaxWait().Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	s.retryAfter = strconv.Itoa(secs)
 	s.batch = b
 }
 
@@ -173,8 +163,8 @@ func (s *Server) answerBatched(w http.ResponseWriter, r *http.Request, sess *ses
 		})
 	case errors.Is(err, batcher.ErrQueueFull):
 		tr.Finish(wait)
-		w.Header().Set("Retry-After", s.retryAfter)
-		httpError(w, http.StatusTooManyRequests, "answer queue full; retry after %ss", s.retryAfter)
+		w.Header().Set("Retry-After", retryAfter)
+		httpError(w, http.StatusTooManyRequests, "answer queue full; retry after %ss", retryAfter)
 	case errors.Is(err, batcher.ErrClosed):
 		tr.Finish(wait)
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")

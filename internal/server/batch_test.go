@@ -53,6 +53,35 @@ func waitForCond(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// wedgeDispatcher holds s's batch dispatcher so a test can choose what
+// the next flush takes. It sends one answer on a story-less plug session
+// whose lock it holds, and returns once the dispatcher has collected
+// that answer alone and blocked on the lock. Answers sent afterwards
+// queue behind the plug. release unlocks the plug session and waits for
+// the plug's answer, a 409: the plug flush runs no inference.
+func wedgeDispatcher(t *testing.T, s *Server, h http.Handler) (release func()) {
+	t.Helper()
+	collected := scrape(t, s).Value("mnnfast_batch_queue_wait_seconds_count") + 1
+	plug := s.session(answerReq("plug", ""))
+	plug.mu.Lock()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, answerReq("plug", "where is john?"))
+	}()
+	waitForCond(t, "plug answer collected", func() bool {
+		return scrape(t, s).Value("mnnfast_batch_queue_wait_seconds_count") == collected
+	})
+	return func() {
+		plug.mu.Unlock()
+		<-done
+		if rec.Code != http.StatusConflict {
+			t.Errorf("plug answer: %d %s, want 409", rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // answerReq builds a direct /v1/answer request (no network) so tests
 // control the context precisely.
 func answerReq(session, question string) *http.Request {
@@ -64,17 +93,18 @@ func answerReq(session, question string) *http.Request {
 
 // TestBatchedEquivalence is the server-level equivalence property: a
 // batched server under concurrent load returns byte-identical response
-// bodies to an unbatched server answering the same questions serially —
-// whatever batch compositions the interleaving produces. It also checks
-// the acceptance criterion that real concurrency actually batches
-// (batch-size p50 > 1).
+// bodies to an unbatched server answering the same questions serially.
+// It also pins that concurrent answers coalesce: each round wedges the
+// dispatcher, queues one question per client behind it, and releases
+// it, and the flushes must then be exactly the plug alone and two full
+// batches of 8.
 func TestBatchedEquivalence(t *testing.T) {
 	base := testServer(t)
 	plain, err := New(base.model, base.corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := newBatchedServer(t, BatchOptions{MaxBatch: 8, MaxWait: 5 * time.Millisecond})
+	batched := newBatchedServer(t, BatchOptions{MaxBatch: 8})
 	defer batched.Close()
 
 	stories := map[string][]string{
@@ -115,58 +145,73 @@ func TestBatchedEquivalence(t *testing.T) {
 		}
 	}
 
-	// Concurrent batched traffic: 16 clients × 25 requests, seeded
-	// random (session, question) picks.
+	// Batched traffic: 16 clients × 25 rounds, seeded random (session,
+	// question) picks, one request per client per round.
 	ts := httptest.NewServer(batched.Handler())
 	defer ts.Close()
-	const clients, perClient = 16, 25
-	var wg sync.WaitGroup
-	var mismatches atomic.Int64
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(9000 + c)))
-			for i := 0; i < perClient; i++ {
-				sess := sessions[rng.Intn(len(sessions))]
-				q := questions[rng.Intn(len(questions))]
-				req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/answer",
-					strings.NewReader(`{"question":"`+q+`"}`))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				req.Header.Set("X-Session", sess)
-				resp, err := ts.Client().Do(req)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				var buf bytes.Buffer
-				_, _ = buf.ReadFrom(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("%s/%q: status %d: %s", sess, q, resp.StatusCode, buf.String())
-					return
-				}
-				if got, want := buf.String(), baseline[sess+"|"+q]; got != want {
-					mismatches.Add(1)
-					t.Errorf("%s/%q: batched body %q != unbatched %q", sess, q, got, want)
-				}
-			}
-		}(c)
+	batchedH := batched.Handler()
+	const clients, rounds = 16, 25
+	rngs := make([]*rand.Rand, clients)
+	for c := range rngs {
+		rngs[c] = rand.New(rand.NewSource(int64(9000 + c)))
 	}
-	wg.Wait()
+	var mismatches atomic.Int64
+	ask := func(c int) {
+		rng := rngs[c]
+		sess := sessions[rng.Intn(len(sessions))]
+		q := questions[rng.Intn(len(questions))]
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/answer",
+			strings.NewReader(`{"question":"`+q+`"}`))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req.Header.Set("X-Session", sess)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s/%q: status %d: %s", sess, q, resp.StatusCode, buf.String())
+			return
+		}
+		if got, want := buf.String(), baseline[sess+"|"+q]; got != want {
+			mismatches.Add(1)
+			t.Errorf("%s/%q: batched body %q != unbatched %q", sess, q, got, want)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		before := scrape(t, batched)
+		release := wedgeDispatcher(t, batched, batchedH)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				ask(c)
+			}(c)
+		}
+		waitForCond(t, "clients queued behind the plug", func() bool { return batched.batch.QueueLen() == clients })
+		release()
+		wg.Wait()
+		// Three flushes of 17 answers, none above MaxBatch, the first
+		// of them the plug alone: exactly [1 8 8].
+		d := scrape(t, batched).Sub(before)
+		if n, sum := d.Value("mnnfast_batch_size_count"), d.Value("mnnfast_batch_size_sum"); n != 3 || sum != clients+1 {
+			t.Fatalf("round %d: %v flushes of %v answers, want 3 flushes [1 8 8] of %d", round, n, sum, clients+1)
+		}
+	}
 	if mismatches.Load() > 0 {
 		t.Fatalf("%d batched responses differed from the unbatched baseline", mismatches.Load())
 	}
 
 	sc := scrape(t, batched)
-	if got := sc.Value("mnnfast_batch_size_sum"); got != clients*perClient {
-		t.Errorf("batch size sum = %v, want %d (every answer through one flush)", got, clients*perClient)
-	}
-	if p50 := sc.Quantile("mnnfast_batch_size", "", 0.5); p50 <= 1 {
-		t.Errorf("batch size p50 = %v under %d concurrent clients, want > 1", p50, clients)
+	if got := sc.Value("mnnfast_batch_size_sum"); got != rounds*(clients+1) {
+		t.Errorf("batch size sum = %v, want %d (every answer and plug through one flush)", got, rounds*(clients+1))
 	}
 	if shed := sc.Value("mnnfast_batch_shed_total"); shed != 0 {
 		t.Errorf("shed %v requests with default queue depth, want 0", shed)
@@ -178,7 +223,7 @@ func TestBatchedEquivalence(t *testing.T) {
 // needs) and the queue full, the next answer is rejected immediately
 // with 429 and a Retry-After hint.
 func TestBatchedQueueFullSheds429(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, MaxWait: 2 * time.Millisecond, QueueDepth: 2})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, QueueDepth: 2})
 	defer s.Close()
 	h := s.Handler()
 
@@ -215,7 +260,7 @@ func TestBatchedQueueFullSheds429(t *testing.T) {
 		t.Fatalf("overflow request: %d %s, want 429", over.Code, over.Body.String())
 	}
 	if ra := over.Header().Get("Retry-After"); ra != "1" {
-		t.Errorf("Retry-After = %q, want \"1\" (2ms MaxWait rounds up)", ra)
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	sess.mu.Unlock()
@@ -235,7 +280,7 @@ func TestBatchedQueueFullSheds429(t *testing.T) {
 // context ends while it waits in the queue gets 504, never occupies a
 // batch slot, and is counted in the expired counter.
 func TestBatchedDeadline504(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, MaxWait: 2 * time.Millisecond, QueueDepth: 4})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, QueueDepth: 4})
 	defer s.Close()
 	h := s.Handler()
 
@@ -300,7 +345,7 @@ func TestBatchedDeadline504(t *testing.T) {
 // TestBatchedCloseDrains exercises graceful shutdown: Close stops
 // admission (503) but queued answers still complete.
 func TestBatchedCloseDrains(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, MaxWait: 2 * time.Millisecond, QueueDepth: 4})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, QueueDepth: 4})
 	h := s.Handler()
 
 	body, _ := json.Marshal(StoryRequest{Sentences: []string{"john went to the garden"}})
@@ -359,7 +404,7 @@ func TestBatchedCloseDrains(t *testing.T) {
 // a story-less session through the batcher still yields 409, and a
 // question with out-of-vocabulary words still yields 422.
 func TestBatchedNoStory409(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 4, MaxWait: time.Millisecond})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 4})
 	defer s.Close()
 	h := s.Handler()
 
@@ -381,7 +426,7 @@ func TestBatchedNoStory409(t *testing.T) {
 // periodic story mutations to force cache invalidation — and runs
 // under -race in CI.
 func TestBatchedStress(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 8, MaxWait: 500 * time.Microsecond, QueueDepth: 64})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 8, QueueDepth: 64})
 	defer s.Close()
 	h := s.Handler()
 

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mnnfast/internal/trace"
 )
@@ -30,7 +29,7 @@ func boundaryServers(t *testing.T) map[string]*Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := newBatchedServer(t, BatchOptions{MaxBatch: 4, MaxWait: time.Millisecond})
+	batched := newBatchedServer(t, BatchOptions{MaxBatch: 4})
 	t.Cleanup(batched.Close)
 	return map[string]*Server{"unbatched": plain, "batched": batched}
 }

@@ -10,46 +10,11 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"mnnfast/internal/babi"
-	"mnnfast/internal/batcher"
 	"mnnfast/internal/memnn"
 	"mnnfast/internal/vocab"
 )
-
-// stepClock is a deterministic batcher.Clock: time moves only when the
-// test advances it, so flush timing never depends on the wall clock.
-type stepClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*stepTimer
-}
-
-type stepTimer struct {
-	ch    chan time.Time
-	at    time.Time
-	fired bool
-}
-
-func newStepClock() *stepClock { return &stepClock{now: time.Unix(2000, 0)} }
-
-func (c *stepClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *stepClock) NewTimer(d time.Duration) batcher.Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &stepTimer{ch: make(chan time.Time, 1), at: c.now.Add(d)}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-func (t *stepTimer) C() <-chan time.Time { return t.ch }
-func (t *stepTimer) Stop() bool          { return true }
 
 // gatedFixture picks an exit threshold that splits the test stories'
 // questions into both outcomes — some exiting after hop 1, some running
@@ -97,7 +62,7 @@ func gatedFixture(t *testing.T, s *Server, stories map[string][]string, question
 
 // TestBatchedGatedEquivalence is the batch-shedding acceptance test at
 // the server level: a flush mixing early-exit and full-hop questions
-// (driven by a fake clock, flushing on batch size alone) must return
+// (formed by queueing them behind a wedged dispatcher) must return
 // response bodies byte-identical to an unbatched server running the
 // same gate — and the exit metrics must show both outcomes.
 func TestBatchedGatedEquivalence(t *testing.T) {
@@ -120,10 +85,7 @@ func TestBatchedGatedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	batched.ExitPolicy = policy
-	// A fake clock plus an hour-long MaxWait means a flush can only
-	// happen when the batch fills — every run coalesces all six answers
-	// into exactly one mixed flush.
-	batched.EnableBatching(BatchOptions{MaxBatch: 6, MaxWait: time.Hour, Clock: newStepClock()})
+	batched.EnableBatching(BatchOptions{})
 	defer batched.Close()
 
 	seed := func(s *Server) {
@@ -155,9 +117,10 @@ func TestBatchedGatedEquivalence(t *testing.T) {
 		}
 	}
 
-	// Six concurrent answers — one per (session, question) pair — fill
-	// the batch exactly.
+	// Six concurrent answers — one per (session, question) pair — queue
+	// behind a wedged dispatcher, so its next flush takes all six.
 	h := batched.Handler()
+	release := wedgeDispatcher(t, batched, h)
 	type result struct {
 		key  string
 		code int
@@ -176,6 +139,8 @@ func TestBatchedGatedEquivalence(t *testing.T) {
 			}(sess, q)
 		}
 	}
+	waitForCond(t, "six answers queued behind the plug", func() bool { return batched.batch.QueueLen() == 6 })
+	release()
 	wg.Wait()
 	close(results)
 	for r := range results {
@@ -188,6 +153,9 @@ func TestBatchedGatedEquivalence(t *testing.T) {
 	}
 
 	sc := scrape(t, batched)
+	if n, sum := sc.Value("mnnfast_batch_size_count"), sc.Value("mnnfast_batch_size_sum"); n != 2 || sum != 7 {
+		t.Errorf("%v flushes of %v answers, want 2: the plug, then all six in one", n, sum)
+	}
 	if got := sc.Value("mnnfast_exit_hop_count"); got != 6 {
 		t.Errorf("exit-hop observations = %v, want 6 (one per gated answer)", got)
 	}
@@ -222,7 +190,7 @@ func TestBatchedGatedAbandoned504(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ExitPolicy = policy
-	s.EnableBatching(BatchOptions{MaxBatch: 1, MaxWait: 2 * time.Millisecond, QueueDepth: 4})
+	s.EnableBatching(BatchOptions{MaxBatch: 1, QueueDepth: 4})
 	defer s.Close()
 	h := s.Handler()
 

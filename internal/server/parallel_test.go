@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"mnnfast/internal/obs"
 )
@@ -31,7 +30,7 @@ func TestParallelServing(t *testing.T) {
 	if err := s.EnableParallelism(4); err == nil {
 		t.Fatal("second EnableParallelism did not error")
 	}
-	s.EnableBatching(BatchOptions{MaxBatch: 4, MaxWait: 2 * time.Millisecond})
+	s.EnableBatching(BatchOptions{MaxBatch: 4})
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -131,12 +131,10 @@ type Server struct {
 
 	// Micro-batching (see EnableBatching / batch.go). batch is nil when
 	// batching is off; items pools answerItem wrappers; bstate is the
-	// dispatcher-owned flush scratch; retryAfter is the precomputed 429
-	// Retry-After value.
-	batch      *batcher.Batcher[*answerItem]
-	items      sync.Pool
-	bstate     batchState
-	retryAfter string
+	// dispatcher-owned flush scratch.
+	batch  *batcher.Batcher[*answerItem]
+	items  sync.Pool
+	bstate batchState
 
 	// parPool holds the persistent workers behind EnableParallelism;
 	// nil when inference is serial. Owned by the server, closed by Close.

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"mnnfast/internal/memnn"
 	"mnnfast/internal/trace"
@@ -152,7 +151,7 @@ func TestTracingEndToEnd(t *testing.T) {
 }
 
 func TestTracingBatchedPath(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 4, MaxWait: time.Millisecond})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 4})
 	s.EnableTracing(TraceOptions{SampleEvery: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
